@@ -305,8 +305,17 @@ def _cmd_eval(args):
     return 0
 
 
+#: Smallest value of each ``check`` size flag; below it a check has no cells
+#: (or, for ``--M``, no quadrature nodes) and would pass vacuously.
+CHECK_MINIMA = {"order": 1, "kmax": 1, "pmax": 0, "draws": 1, "M": 1}
+
+
 def _cmd_check(args):
     _check_bounds(order=args.order, kmax=args.kmax, pmax=args.pmax)
+    for name, low in CHECK_MINIMA.items():
+        value = getattr(args, name)
+        if value is not None and value < low:
+            raise UsageError(f"--{name} {value} is below {low}: nothing to check")
     reports = []
     names = suites.suite_names() if args.suite == "all" else [args.suite]
     include_contour = args.suite in ("all", "contour")
@@ -316,17 +325,10 @@ def _cmd_check(args):
         raise UsageError(
             f"unknown suite '{args.suite}' "
             f"(have: {', '.join(suites.suite_names() + ['contour', 'sweep', 'all'])})")
-    overrides = {}
-    if args.kmax is not None:
-        overrides["kmax"] = args.kmax
-    if args.pmax is not None:
-        overrides["pmax"] = args.pmax
+    overrides = {flag: getattr(args, flag) for flag in suites.FLAGS
+                 if getattr(args, flag) is not None}
     for name in exact_names:
-        try:
-            reports.append(suites.run_suite(name, order=args.order,
-                                            **_filter_overrides(name, overrides)))
-        except TypeError:
-            reports.append(suites.run_suite(name, order=args.order))
+        reports.append(suites.run_suite(name, order=args.order, **overrides))
     contour_reports = []
     if include_contour:
         seed = koebe_seed(Fraction(str(args.rho)))
@@ -334,7 +336,7 @@ def _cmd_check(args):
             contour_reports.append(
                 contour_check(seed, p, complex(args.z), args.r, args.M))
     if include_sweep:
-        pairs = suites.collect_pairs(order=args.order)
+        pairs = suites.collect_pairs(order=args.order, **overrides)
         reports.append(numeric_identity_sweep(pairs, draws=args.draws))
     ok = all(r.passed for r in reports) and all(c.ok for c in contour_reports)
     if args.format == "json":
@@ -350,19 +352,6 @@ def _cmd_check(args):
         lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
         _emit("\n".join(lines), args.output)
     return 0 if ok else 1
-
-
-def _filter_overrides(name, overrides):
-    allowed = {
-        "thm42": {"kmax", "pmax"},
-        "recursion": {"pmax"},
-        "elimination": {"pmax"},
-        "lemma41": {"kmax"},
-        "thm51": {"kmax", "pmax"},
-        "negative-action": {"pmax"},
-        "gen-identity": {"pmax", "kmax"},
-    }.get(name, set())
-    return {k: v for k, v in overrides.items() if k in allowed}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run identity check suites")
     p.add_argument("--suite", required=True,
-                   help="suite name, 'contour', 'sweep' or 'all'")
+                   help=f"one of {', '.join(suites.suite_names())}; "
+                        "'contour', 'sweep' or 'all'")
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--pmax", type=int, default=None)

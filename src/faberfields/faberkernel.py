@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .polyring import CoeffPoly
-from .reports import CheckReport, IdentityPair, cell
+from .reports import CheckReport, IdentityPair, report_from_pairs, series_pairs
 from .series import (
     BiSeries,
     LaurentSeries,
@@ -469,147 +469,109 @@ def a_field_grunsky(P: int, N: int) -> AFieldTable:
 
 
 # -- identity checks ----------------------------------------------------------------
+#
+# Each identity is one generator of IdentityPair instances; its check is the
+# report of those pairs, and the numeric sweep specializes the same pairs.
 
 
-def faber_derivative_identity_check(N: int) -> CheckReport:
-    """Check f(z)/(1 - w f(z)) = sum_n F'_n(w) z^n / n coefficientwise."""
-    return CheckReport("faber-derivative", tuple(_faber_derivative_cells(N)))
-
-
-def _faber_derivative_cells(N: int):
+def faber_derivative_pairs(N: int):
+    """f(z)/(1 - w f(z)) = sum_n F'_n(w) z^n / n, one pair per w^m of each z^n."""
     fab = faber_polys(N)
-    powers = _f_powers(N, N)
     f = _seed(N)
-    fpow = [fm * f for fm in powers]  # f^{m+1}
-    for n in range(1, N + 1):
-        lhs = WPoly([fpow[m].coefficient(n) * n for m in range(n)])
-        rhs = fab.poly(n).deriv_w()
-        ok = lhs == rhs
-        detail = "" if ok else (
-            f"n*[z^{n}] f/(1-wf) = {lhs.render()} but F_{n}'(w) = {rhs.render()}")
-        yield cell(ok, detail, n=n)
-
-
-def faber_derivative_pairs(N: int) -> list[IdentityPair]:
-    fab = faber_polys(N)
-    powers = _f_powers(N, N)
-    f = _seed(N)
-    fpow = [fm * f for fm in powers]
-    out = []
+    fpow = [fm * f for fm in _f_powers(N, N)]  # f^{m+1}
     for n in range(1, N + 1):
         lhs = WPoly([fpow[m].coefficient(n) * n for m in range(n)])
         rhs = fab.poly(n).deriv_w()
         for m in range(max(lhs.degree, rhs.degree) + 1):
-            out.append(IdentityPair("faber-derivative", (("n", n), ("m", m)),
-                                    lhs.coefficient(m), rhs.coefficient(m)))
-    return out
+            yield IdentityPair("faber-derivative", (("n", n), ("m", m)),
+                               lhs.coefficient(m), rhs.coefficient(m))
+
+
+def faber_derivative_identity_check(N: int) -> CheckReport:
+    """Check f(z)/(1 - w f(z)) = sum_n F'_n(w) z^n / n coefficientwise."""
+    return report_from_pairs("faber-derivative", faber_derivative_pairs(N), ("n",))
+
+
+def grunsky_symmetry_pairs(N: int):
+    """k beta_{n,k} = n beta_{k,n} for 1 <= n, k <= N."""
+    table = grunsky_log(N, N)
+    for n in range(1, N + 1):
+        for k in range(1, N + 1):
+            yield IdentityPair("grunsky-symmetry", (("n", n), ("k", k)),
+                               table.beta(n, k) * k, table.beta(k, n) * n)
 
 
 def grunsky_symmetry_check(N: int) -> CheckReport:
     """k beta_{n,k} = n beta_{k,n} for 1 <= n, k <= N, exactly."""
-    table = grunsky_log(N, N)
-    cells = []
-    for n in range(1, N + 1):
-        for k in range(1, N + 1):
-            lhs = table.beta(n, k) * k
-            rhs = table.beta(k, n) * n
-            ok = lhs == rhs
-            detail = "" if ok else (
-                f"k*beta = {lhs.render()} vs n*beta(swapped) = {rhs.render()}")
-            cells.append(cell(ok, detail, n=n, k=k))
-    return CheckReport("grunsky-symmetry", tuple(cells))
+    return report_from_pairs("grunsky-symmetry", grunsky_symmetry_pairs(N), ("n", "k"))
 
 
-def grunsky_symmetry_pairs(N: int) -> list[IdentityPair]:
-    table = grunsky_log(N, N)
-    return [
-        IdentityPair("grunsky-symmetry", (("n", n), ("k", k)),
-                     table.beta(n, k) * k, table.beta(k, n) * n)
-        for n in range(1, N + 1) for k in range(1, N + 1)
-    ]
+#: Every index the route pairs carry: each pair is a cell of its own.
+ROUTE_KEYS = ("n", "k", "m", "p", "e")
 
 
 def route_equivalence_check(grunsky_n: int = 10, t_n: int = 10, diag_p: int = 10,
                             lambda_p: int = 10, afield_p: int = 8,
                             afield_n: int = 8) -> CheckReport:
     """Exact equality of every dual-route construction."""
-    cells = []
-    for pair in route_equivalence_pairs(grunsky_n, t_n, diag_p, lambda_p,
-                                        afield_p, afield_n):
-        ok = pair.lhs == pair.rhs
-        detail = "" if ok else (
-            f"{pair.label()}: {pair.lhs.render()} != {pair.rhs.render()}")
-        cells.append(cell(ok, detail, **dict(pair.indices)))
-    return CheckReport("routes", tuple(cells))
+    return report_from_pairs("routes", route_equivalence_pairs(
+        grunsky_n, t_n, diag_p, lambda_p, afield_p, afield_n), ROUTE_KEYS)
 
 
 def route_equivalence_pairs(grunsky_n: int = 10, t_n: int = 10, diag_p: int = 10,
                             lambda_p: int = 10, afield_p: int = 8,
-                            afield_n: int = 8) -> list[IdentityPair]:
-    out = []
+                            afield_n: int = 8):
     g1 = grunsky_log(grunsky_n, grunsky_n)
     g2 = grunsky_compose(grunsky_n, grunsky_n)
     for n in range(1, grunsky_n + 1):
         for k in range(1, grunsky_n + 1):
-            out.append(IdentityPair("routes-grunsky", (("n", n), ("k", k)),
-                                    g1.beta(n, k), g2.beta(n, k)))
+            yield IdentityPair("routes-grunsky", (("n", n), ("k", k)),
+                               g1.beta(n, k), g2.beta(n, k))
     t1 = t_polys(t_n)
     t2 = t_from_faber(t_n)
     for n in range(t_n + 1):
         for m in range(n + 1):
-            out.append(IdentityPair("routes-t", (("n", n), ("m", m)),
-                                    t1.poly(n).coefficient(m),
-                                    t2.poly(n).coefficient(m)))
+            yield IdentityPair("routes-t", (("n", n), ("m", m)),
+                               t1.poly(n).coefficient(m), t2.poly(n).coefficient(m))
     d1 = diag_a(diag_p)
     d2 = diag_a_grunsky(diag_p)
     for p in range(1, diag_p + 1):
-        out.append(IdentityPair("routes-diag", (("p", p),), d1.a(p), d2.a(p)))
+        yield IdentityPair("routes-diag", (("p", p),), d1.a(p), d2.a(p))
     l1 = lambda_direct(lambda_p)
     l2 = lambda_from_t(lambda_p)
     for p in range(lambda_p + 1):
         for e in range(1 - p, 2):
-            out.append(IdentityPair("routes-lambda", (("p", p), ("e", e)),
-                                    l1.poly(p).coefficient(e),
-                                    l2.poly(p).coefficient(e)))
+            yield IdentityPair("routes-lambda", (("p", p), ("e", e)),
+                               l1.poly(p).coefficient(e), l2.poly(p).coefficient(e))
     a1 = a_field_direct(afield_p, afield_n)
     a2 = a_field_grunsky(afield_p, afield_n)
     for p in range(afield_p + 1):
         for n in range(afield_n + 1):
-            out.append(IdentityPair("routes-afield", (("p", p), ("n", n)),
-                                    a1.A(p, n), a2.A(p, n)))
+            yield IdentityPair("routes-afield", (("p", p), ("n", n)),
+                               a1.A(p, n), a2.A(p, n))
     for p in range(1, afield_p + 1):
         for k in range(afield_n + 1):
-            out.append(IdentityPair("routes-bfield", (("p", p), ("k", k)),
-                                    a1.B(p, k), a2.B(p, k)))
-    return out
+            yield IdentityPair("routes-bfield", (("p", p), ("k", k)),
+                               a1.B(p, k), a2.B(p, k))
+
+
+def elimination_pairs(pmax: int, seed_order=None):
+    """For each p, z^(1-p) f'(z) + Lambda_p(f(z)) has no power z^m with m <= 1.
+
+    Default seed order is 2p + 10 per index, and never below p + 2.
+    """
+    for p in range(pmax + 1):
+        order = seed_order if seed_order is not None else 2 * p + 10
+        e = elimination_series(p, max(order, p + 2))
+        for m in range(min(e.valuation, 1 - p), 2):
+            yield IdentityPair("elimination", (("p", p), ("m", m)),
+                               e.coefficient(m), CoeffPoly.zero())
 
 
 def elimination_check(pmax: int, seed_order=None) -> CheckReport:
-    """For each p, z^(1-p) f'(z) + Lambda_p(f(z)) has no power z^m with m <= 1.
-
-    Default seed order is 2p + 10 per index.
-    """
-    cells = []
-    for p in range(pmax + 1):
-        order = seed_order if seed_order is not None else 2 * p + 10
-        order = max(order, p + 2)
-        e = elimination_series(p, order)
-        for m in range(min(e.valuation, 1 - p), 2):
-            value = e.coefficient(m)
-            ok = not value
-            detail = "" if ok else f"z^{m} coefficient survives: {value.render()}"
-            cells.append(cell(ok, detail, p=p, m=m))
-    return CheckReport("elimination", tuple(cells))
-
-
-def elimination_pairs(pmax: int) -> list[IdentityPair]:
-    out = []
-    for p in range(pmax + 1):
-        e = elimination_series(p, 2 * p + 10)
-        for m in range(min(e.valuation, 1 - p), 2):
-            out.append(IdentityPair("elimination", (("p", p), ("m", m)),
-                                    e.coefficient(m), CoeffPoly.zero()))
-    return out
+    """elimination_pairs as a report, one cell per power z^m of each E_p."""
+    return report_from_pairs("elimination", elimination_pairs(pmax, seed_order),
+                             ("p", "m"))
 
 
 def _gen_identity_rows(P: int, K: int):
@@ -640,16 +602,7 @@ def _gen_identity_rows(P: int, K: int):
     return rows
 
 
-def gen_identity_biseries(P: int, K: int) -> BiSeries:
-    """The |u| < |v| expansion of the A-table generating function, as a
-    rectangular bivariate series with a Laurent range in v."""
-    rows = _gen_identity_rows(P, K)
-    vmin = -P
-    grid = [[row.coefficient(j) for j in range(vmin, K + 1)] for row in rows]
-    return BiSeries(grid, P, K, vmin, False)
-
-
-def gen_identity_check(P: int, K: int) -> CheckReport:
+def gen_identity_pairs(pmax: int, kmax: int):
     """Bivariate generating identity for the A table:
 
         sum_{k>=1, p>=0} A_k^p u^p v^k
@@ -657,32 +610,19 @@ def gen_identity_check(P: int, K: int) -> CheckReport:
 
     expanded with |u| < |v|.  All negative v powers (and the v^0 term) must
     cancel; the nonnegative part must match the A table on the rectangle.
+    One pair per u^p v^k with -pmax <= k <= kmax.
     """
-    bs = gen_identity_biseries(P, K)
-    table = a_field_direct(P, K)
-    cells = []
-    for p in range(P + 1):
-        for j in range(bs.vmin, K + 1):
-            got = bs.coefficient(p, j)
-            want = table.A(p, j) if j >= 1 else CoeffPoly.zero()
-            ok = got == want
-            detail = "" if ok else (
-                f"rhs coefficient {got.render()} vs A_{j}^{p} = {want.render()}"
-                if j >= 1 else f"power v^{j} fails to cancel: {got.render()}")
-            cells.append(cell(ok, detail, p=p, k=j))
-    return CheckReport("gen-identity", tuple(cells))
-
-
-def gen_identity_pairs(P: int, K: int) -> list[IdentityPair]:
-    rows = _gen_identity_rows(P, K)
-    table = a_field_direct(P, K)
-    out = []
+    rows = _gen_identity_rows(pmax, kmax)
+    table = a_field_direct(pmax, kmax)
     for p, row in enumerate(rows):
-        for j in range(row.valuation, K + 1):
+        for j in range(-pmax, kmax + 1):
             want = table.A(p, j) if j >= 1 else CoeffPoly.zero()
-            out.append(IdentityPair("gen-identity", (("p", p), ("k", j)),
-                                    row.coefficient(j), want))
-    return out
+            yield IdentityPair("gen-identity", (("p", p), ("k", j)),
+                               row.coefficient(j), want)
+
+
+def gen_identity_check(P: int, K: int) -> CheckReport:
+    return report_from_pairs("gen-identity", gen_identity_pairs(P, K), ("p", "k"))
 
 
 def _phi_generating_rows(xi_max: int, z_max: int):
@@ -706,36 +646,18 @@ def _phi_generating_rows(xi_max: int, z_max: int):
     return rows
 
 
-def phi_generating_check(xi_max: int, z_max: int) -> CheckReport:
+def phi_generating_pairs(xi_max: int, z_max: int):
     """Generating form of the phi family:
 
-        sum_p phi_p(z) xi^p = xi^2 f'(xi)^2 / f(xi)^2 * f(z)^2 / (f(xi) - f(z)).
+        sum_p phi_p(z) xi^p = xi^2 f'(xi)^2 / f(xi)^2 * f(z)^2 / (f(xi) - f(z)),
+
+    one pair per power z^m of each xi^p.
     """
-    rows = _phi_generating_rows(xi_max, z_max)
-    cells = []
-    for p, row in enumerate(rows):
-        phi = phi_p(p, z_max)
-        lo = min(row.valuation, phi.valuation)
-        bad = None
-        for m in range(lo, z_max + 1):
-            if row.coefficient(m) != phi.coefficient(m):
-                bad = m
-                break
-        ok = bad is None
-        detail = "" if ok else (
-            f"z^{bad}: generating side {row.coefficient(bad).render()} vs "
-            f"phi_{p} {phi.coefficient(bad).render()}")
-        cells.append(cell(ok, detail, p=p))
-    return CheckReport("phi-generating", tuple(cells))
+    for p, row in enumerate(_phi_generating_rows(xi_max, z_max)):
+        yield from series_pairs("phi-generating", (("p", p),), row,
+                                phi_p(p, z_max), z_max)
 
 
-def phi_generating_pairs(xi_max: int, z_max: int) -> list[IdentityPair]:
-    rows = _phi_generating_rows(xi_max, z_max)
-    out = []
-    for p, row in enumerate(rows):
-        phi = phi_p(p, z_max)
-        lo = min(row.valuation, phi.valuation)
-        for m in range(lo, z_max + 1):
-            out.append(IdentityPair("phi-generating", (("p", p), ("m", m)),
-                                    row.coefficient(m), phi.coefficient(m)))
-    return out
+def phi_generating_check(xi_max: int, z_max: int) -> CheckReport:
+    return report_from_pairs("phi-generating", phi_generating_pairs(xi_max, z_max),
+                             ("p",))

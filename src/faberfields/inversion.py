@@ -26,7 +26,7 @@ from functools import lru_cache
 from .faberkernel import a_field_direct, lambda_direct
 from .kirillov import make_L
 from .polyring import CoeffPoly
-from .reports import CheckReport, IdentityPair, cell
+from .reports import CheckReport, IdentityPair, report_from_pairs, series_pairs
 from .series import (
     LaurentSeries,
     const_series,
@@ -98,129 +98,87 @@ def reverse_table(qmin: int, qmax: int, N: int) -> ReverseSeriesTable:
                               {q: s.truncate(N) for q, s in pows.items()})
 
 
-def _first_disagreement(a: LaurentSeries, b: LaurentSeries, through: int):
-    for m in range(min(a.valuation, b.valuation), through + 1):
-        if a.coefficient(m) != b.coefficient(m):
-            return m
-    return None
+def _thm51_pairs(group: str, indices: tuple, lhs, rhs, N: int):
+    """Pairs of one identity group, labelled ``thm51-<group>``, through z^N."""
+    return series_pairs(f"thm51-{group}", (("group", group),) + indices, lhs, rhs, N)
 
 
-def _mismatch_cell(group, lhs, rhs, through, **indices):
-    bad = _first_disagreement(lhs, rhs, through)
-    ok = bad is None
-    detail = "" if ok else (
-        f"z^{bad}: lhs {lhs.coefficient(bad).render()} vs "
-        f"rhs {rhs.coefficient(bad).render()}")
-    return cell(ok, detail, group=group, **indices)
-
-
-def _series_pairs(suite, lhs, rhs, through, **indices):
-    out = []
-    for m in range(min(lhs.valuation, rhs.valuation), through + 1):
-        out.append(IdentityPair(
-            suite, tuple(indices.items()) + (("m", m),),
-            lhs.coefficient(m), rhs.coefficient(m)))
-    return out
-
-
-def _positive_cases(kmax: int, N: int):
+def thm51_positive_pairs(kmax: int, N: int):
+    """L_k g = -g^{k+1} and L_k g^{-k} = k, exact through z^N."""
     g = _reversion(N + kmax + 1)
     pows = _incremental_powers(g, -kmax, kmax + 1)
     for k in range(1, kmax + 1):
         op = make_L(k)
-        yield ("power", k, op.apply(g.truncate(N)),
-               (-pows[k + 1]).truncate(N))
-        lhs = op.apply(pows[-k].truncate(N))
-        rhs = (zero_series(N) + k)
-        yield ("inverse-power", k, lhs, rhs)
+        yield from _thm51_pairs("power", (("k", k),), op.apply(g.truncate(N)),
+                                (-pows[k + 1]).truncate(N), N)
+        yield from _thm51_pairs("inverse-power", (("k", k),),
+                                op.apply(pows[-k].truncate(N)), zero_series(N) + k, N)
 
 
 def check_thm51_positive(kmax: int, N: int) -> CheckReport:
-    """L_k g = -g^{k+1} and L_k g^{-k} = k, exact through z^N."""
-    cells = []
-    for group, k, lhs, rhs in _positive_cases(kmax, N):
-        cells.append(_mismatch_cell(group, lhs, rhs, N, k=k))
-    return CheckReport("thm51-positive", tuple(cells))
+    return report_from_pairs("thm51-positive", thm51_positive_pairs(kmax, N),
+                             ("group", "k"))
 
 
-def _zero_negative_cases(pmax: int, N: int):
+def thm51_zero_negative_pairs(pmax: int, N: int):
+    """The L_0, L_{-1}, L_{-p} and L_{-p} g^p identity groups, exact through z^N."""
     g = _reversion(N + pmax + 1)  # margin for Laurent products with Lambda_p(z)
     pows = _incremental_powers(g, min(1 - pmax, -1), max(pmax, 1))
     gprime = g.derivative()
     lams = lambda_direct(max(pmax, 1))
 
-    op0 = make_L(0)
-    lhs = op0.apply(g.truncate(N))
+    lhs = make_L(0).apply(g.truncate(N))
     rhs = ((-g) + z_series() * gprime).truncate(N)
-    yield ("L0", 0, lhs, rhs)
+    yield from _thm51_pairs("L0", (("p", 0),), lhs, rhs, N)
 
     afield = a_field_direct(max(pmax, 1), N)
-    op = make_L(-1, afield)
-    lhs = op.apply(g.truncate(N))
+    lhs = make_L(-1, afield).apply(g.truncate(N))
     two_c1_z = z_series().scale(CoeffPoly.var(1) * 2)
     rhs = ((zero_series(N) - 1) + (two_c1_z + 1) * gprime).truncate(N)
-    yield ("Lminus1", 1, lhs, rhs)
+    yield from _thm51_pairs("Lminus1", (("p", 1),), lhs, rhs, N)
 
     for p in range(2, pmax + 1):
-        opp = make_L(-p, afield)
-        lhs = opp.apply(g.truncate(N))
+        lhs = make_L(-p, afield).apply(g.truncate(N))
         lam_z = lams.poly(p).at_variable()
         rhs = (-pows[1 - p] - lam_z * gprime).truncate(N)
-        yield ("negative", p, lhs, rhs)
+        yield from _thm51_pairs("negative", (("p", p),), lhs, rhs, N)
 
     for p in range(1, pmax + 1):
-        opp = make_L(-p, afield)
         gp = pows[p]
-        lhs = opp.apply(gp.truncate(N))
+        lhs = make_L(-p, afield).apply(gp.truncate(N))
         lam_z = lams.poly(p).at_variable()
         rhs = ((zero_series(N) - p) - lam_z * gp.derivative()).truncate(N)
-        yield ("power-negative", p, lhs, rhs)
+        yield from _thm51_pairs("power-negative", (("p", p),), lhs, rhs, N)
 
 
 def check_thm51_zero_and_negative(pmax: int, N: int) -> CheckReport:
-    """The L_0, L_{-1}, L_{-p} and L_{-p} g^p identity groups, exact through z^N."""
-    cells = []
-    for group, p, lhs, rhs in _zero_negative_cases(pmax, N):
-        cells.append(_mismatch_cell(group, lhs, rhs, N, p=p))
-    return CheckReport("thm51-zero-negative", tuple(cells))
+    return report_from_pairs("thm51-zero-negative", thm51_zero_negative_pairs(pmax, N),
+                             ("group", "p"))
 
 
-def thm51_pairs(kmax: int, pmax: int, N: int) -> list[IdentityPair]:
-    out = []
-    for group, k, lhs, rhs in _positive_cases(kmax, N):
-        out.extend(_series_pairs(f"thm51-{group}", lhs, rhs, N, k=k))
-    for group, p, lhs, rhs in _zero_negative_cases(pmax, N):
-        out.extend(_series_pairs(f"thm51-{group}", lhs, rhs, N, p=p))
-    return out
+def thm51_pairs(kmax: int, pmax: int, N: int):
+    """Both halves of Theorem 5.1: the positive and the zero/negative groups."""
+    yield from thm51_positive_pairs(kmax, N)
+    yield from thm51_zero_negative_pairs(pmax, N)
 
 
-def unique_elimination_check(p: int, N: int) -> CheckReport:
-    """g^{1-p} + Lambda_p(z) g' has no power z^m with m <= 1, through z^N.
+def unique_elimination_pairs(ps, N: int):
+    """g^{1-p} + Lambda_p(z) g' has no power z^m with m <= 1, for p in ps.
 
     This is the uniqueness-style statement that pins the eliminator at the
-    reverse series side.
+    reverse series side; g is taken exact through z^(N + p + 1).
     """
-    if p < 2:
-        raise ValueError("need p >= 2")
-    g = _reversion(N + p + 1)
-    lam_z = lambda_direct(p).poly(p).at_variable()
-    e = laurent_pow(g, 1 - p) + lam_z * g.derivative()
-    cells = []
-    for m in range(min(e.valuation, 1 - p), 2):
-        value = e.coefficient(m)
-        ok = not value
-        detail = "" if ok else f"z^{m} coefficient survives: {value.render()}"
-        cells.append(cell(ok, detail, p=p, m=m))
-    return CheckReport("unique-elimination", tuple(cells))
-
-
-def unique_elimination_pairs(ps, N: int) -> list[IdentityPair]:
-    out = []
     for p in ps:
+        if p < 2:
+            raise ValueError("need p >= 2")
         g = _reversion(N + p + 1)
         lam_z = lambda_direct(p).poly(p).at_variable()
         e = laurent_pow(g, 1 - p) + lam_z * g.derivative()
         for m in range(min(e.valuation, 1 - p), 2):
-            out.append(IdentityPair("unique-elimination", (("p", p), ("m", m)),
-                                    e.coefficient(m), CoeffPoly.zero()))
-    return out
+            yield IdentityPair("unique-elimination", (("p", p), ("m", m)),
+                               e.coefficient(m), CoeffPoly.zero())
+
+
+def unique_elimination_check(p: int, N: int) -> CheckReport:
+    return report_from_pairs("unique-elimination", unique_elimination_pairs((p,), N),
+                             ("p", "m"))

@@ -18,10 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .faberkernel import (AFieldTable, _elimination_family, a_field_direct,
-                          elimination_series, lambda_direct)
+from .faberkernel import AFieldTable, _elimination_family, a_field_direct, lambda_direct
 from .polyring import CoeffPoly
-from .reports import CheckReport, IdentityPair, cell
+from .reports import CheckReport, IdentityPair, report_from_pairs, series_pairs
 from .series import (LaurentSeries, LaurentWPoly, WPoly, _make, laurent_recip,
                      seed_series)
 
@@ -130,149 +129,91 @@ def apply(D: Derivation, target):
 
 
 # -- check suites -----------------------------------------------------------------
+#
+# Each identity is one generator of IdentityPair instances; its check is the
+# report of those pairs, and the numeric sweep specializes the same pairs.
 
 
-def check_negative_action(p: int, N: int, table: AFieldTable | None = None) -> CheckReport:
+def negative_action_pairs(pmax: int, N: int | None = None, pmin: int = 1,
+                          table: AFieldTable | None = None):
     """The derivation built from the A table reproduces the elimination form:
 
-        L_{-p} f(z) = z^(1-p) f'(z) + Lambda_p(f(z))   through z^N.
+        L_{-p} f(z) = z^(1-p) f'(z) + Lambda_p(f(z))   through z^N,
 
-    A table covering (p, N-1) may be passed in to share one build across
-    several indices.
-    """
-    if p < 1:
-        raise ValueError("need p >= 1")
-    if table is None:
-        table = a_field_direct(p, max(N - 1, 1))
-    op = make_L(-p, table)
-    f = seed_series(N)
-    lhs = op.apply(f)
-    rhs = elimination_series(p, N + p).truncate(N)
-    bad = None
-    for m in range(min(lhs.valuation, rhs.valuation), N + 1):
-        if lhs.coefficient(m) != rhs.coefficient(m):
-            bad = m
-            break
-    ok = bad is None
-    detail = "" if ok else (
-        f"z^{bad}: derivation gives {lhs.coefficient(bad).render()}, "
-        f"elimination gives {rhs.coefficient(bad).render()}")
-    return CheckReport("negative-action", (cell(ok, detail, p=p, N=N),))
-
-
-def negative_action_report(pmax: int, N: int | None = None) -> CheckReport:
-    """check_negative_action over p = 1..pmax, sharing one eliminator family.
-
-    The single comparison order N (default 2 pmax + 10, so at least 2p + 10
-    for every p) lets all indices reuse one A table and one power ladder.
+    for pmin <= p <= pmax, one pair per power z^m.  The single comparison
+    order N (default 2 pmax + 10, so at least 2p + 10 for every p) lets all
+    indices share one eliminator family and one A table, which may be passed
+    in if it covers (pmax, N-1).
     """
     if N is None:
         N = 2 * pmax + 10
-    table = a_field_direct(pmax, max(N - 1, 1))
+    if table is None:
+        table = a_field_direct(pmax, max(N - 1, 1))
     family = _elimination_family(pmax, N + pmax)
     f = seed_series(N)
-    cells = []
-    for p in range(1, pmax + 1):
-        lhs = make_L(-p, table).apply(f)
-        rhs = family[p].truncate(N)
-        bad = None
-        for m in range(min(lhs.valuation, rhs.valuation), N + 1):
-            if lhs.coefficient(m) != rhs.coefficient(m):
-                bad = m
-                break
-        ok = bad is None
-        detail = "" if ok else (
-            f"z^{bad}: derivation gives {lhs.coefficient(bad).render()}, "
-            f"elimination gives {rhs.coefficient(bad).render()}")
-        cells.append(cell(ok, detail, p=p, N=N))
-    return CheckReport("negative-action", tuple(cells))
+    for p in range(pmin, pmax + 1):
+        yield from series_pairs("negative-action", (("p", p), ("N", N)),
+                                make_L(-p, table).apply(f), family[p].truncate(N), N)
 
 
-def negative_action_pairs(pmax: int, N: int) -> list[IdentityPair]:
-    out = []
-    table = a_field_direct(pmax, max(N - 1, 1))
-    family = _elimination_family(pmax, N + pmax)
-    f = seed_series(N)
-    for p in range(1, pmax + 1):
-        op = make_L(-p, table)
-        lhs = op.apply(f)
-        rhs = family[p].truncate(N)
-        for m in range(min(lhs.valuation, rhs.valuation), N + 1):
-            out.append(IdentityPair("negative-action", (("p", p), ("m", m)),
-                                    lhs.coefficient(m), rhs.coefficient(m)))
-    return out
+def check_negative_action(p: int, N: int, table: AFieldTable | None = None) -> CheckReport:
+    """negative_action_pairs for the single index p, through z^N."""
+    if p < 1:
+        raise ValueError("need p >= 1")
+    return report_from_pairs("negative-action", negative_action_pairs(p, N, p, table),
+                             ("p", "N"))
 
 
-def _thm42_cases(kmax: int, pmax: int):
-    """(k, n, expected) triples for L_k Lambda_n over the full matrix."""
-    lams = lambda_direct(kmax + pmax)
-    for k in range(1, kmax + 1):
-        op = make_L(k)
-        for n in range(1, k):
-            yield k, n, op.apply(lams.poly(n)), LaurentWPoly({})
-        for p in range(0, pmax + 1):
-            got = op.apply(lams.poly(p + k))
-            want = lams.poly(p).scale(2 * k + p)
-            yield k, p + k, got, want
+def negative_action_report(pmax: int, N: int | None = None) -> CheckReport:
+    """check_negative_action over p = 1..pmax, sharing one eliminator family."""
+    return report_from_pairs("negative-action", negative_action_pairs(pmax, N),
+                             ("p", "N"))
 
 
-def check_thm42(kmax: int, pmax: int) -> CheckReport:
+def _marker_pairs(suite: str, indices: tuple, got: LaurentWPoly, want: LaurentWPoly):
+    """One pair per exponent of either side; u^0 stands in when both vanish."""
+    for e in sorted(set(got.entries) | set(want.entries)) or [0]:
+        yield IdentityPair(suite, indices + (("e", e),),
+                           got.coefficient(e), want.coefficient(e))
+
+
+def thm42_pairs(kmax: int, pmax: int):
     """Ladder action on the eliminator family:
 
         L_k Lambda_n = 0 for 1 <= n < k,
         L_k Lambda_k = -2k u,
         L_k Lambda_{p+k} = (2k + p) Lambda_p.
     """
-    cells = []
-    for k, n, got, want in _thm42_cases(kmax, pmax):
-        ok = got == want
-        detail = "" if ok else (
-            f"L_{k} Lambda_{n} = {got.render()} but expected {want.render()}")
-        cells.append(cell(ok, detail, k=k, n=n))
-    return CheckReport("thm42", tuple(cells))
+    lams = lambda_direct(kmax + pmax)
+    for k in range(1, kmax + 1):
+        op = make_L(k)
+        for n in range(1, k):
+            yield from _marker_pairs("thm42", (("k", k), ("n", n)),
+                                     op.apply(lams.poly(n)), LaurentWPoly({}))
+        for p in range(0, pmax + 1):
+            yield from _marker_pairs("thm42", (("k", k), ("n", p + k)),
+                                     op.apply(lams.poly(p + k)),
+                                     lams.poly(p).scale(2 * k + p))
 
 
-def thm42_pairs(kmax: int, pmax: int) -> list[IdentityPair]:
-    out = []
-    for k, n, got, want in _thm42_cases(kmax, pmax):
-        exps = set(got.entries) | set(want.entries)
-        if not exps:
-            exps = {0}
-        for e in sorted(exps):
-            out.append(IdentityPair("thm42", (("k", k), ("n", n), ("e", e)),
-                                    got.coefficient(e), want.coefficient(e)))
-    return out
+def check_thm42(kmax: int, pmax: int) -> CheckReport:
+    return report_from_pairs("thm42", thm42_pairs(kmax, pmax), ("k", "n"))
 
 
-def check_recursion(pmax: int) -> CheckReport:
+def recursion_pairs(pmax: int):
     """The k = 1 recursion on its own:
 
         [d/dc1 + 2 c1 d/dc2 + 3 c2 d/dc3 + ...] Lambda_{p+1} = (p+2) Lambda_p.
     """
     lams = lambda_direct(pmax + 1)
     op = make_L(1)
-    cells = []
     for p in range(pmax + 1):
-        got = op.apply(lams.poly(p + 1))
-        want = lams.poly(p).scale(p + 2)
-        ok = got == want
-        detail = "" if ok else (
-            f"L_1 Lambda_{p + 1} = {got.render()} but expected {want.render()}")
-        cells.append(cell(ok, detail, p=p))
-    return CheckReport("recursion", tuple(cells))
+        yield from _marker_pairs("recursion", (("p", p),), op.apply(lams.poly(p + 1)),
+                                 lams.poly(p).scale(p + 2))
 
 
-def recursion_pairs(pmax: int) -> list[IdentityPair]:
-    lams = lambda_direct(pmax + 1)
-    op = make_L(1)
-    out = []
-    for p in range(pmax + 1):
-        got = op.apply(lams.poly(p + 1))
-        want = lams.poly(p).scale(p + 2)
-        for e in sorted(set(got.entries) | set(want.entries)):
-            out.append(IdentityPair("recursion", (("p", p), ("e", e)),
-                                    got.coefficient(e), want.coefficient(e)))
-    return out
+def check_recursion(pmax: int) -> CheckReport:
+    return report_from_pairs("recursion", recursion_pairs(pmax), ("p",))
 
 
 def inverse_deriv_coeffs(order: int) -> list[CoeffPoly]:
@@ -285,52 +226,34 @@ def inverse_deriv_coeffs(order: int) -> list[CoeffPoly]:
     return [inv.coefficient(n) for n in range(order + 1)]
 
 
-def partial_via_L(k: int, mmax: int) -> CheckReport:
-    """Resolve the partial d/dc_k through the ladder:
+def lemma41_pairs(kmax: int, mmax: int, kmin: int = 1):
+    """Resolve the partial d/dc_k through the ladder, for kmin <= k <= kmax:
 
         d/dc_k = L_k - 2 c1 L_{k+1} + (4 c1^2 - 3 c2) L_{k+2} + ... + B_n L_{k+n} + ...
 
     applied to every generator c_m, m <= mmax; application to c_m terminates
     at n = m - k, so only finitely many terms contribute.
     """
-    cells = []
-    for _, m, got, want in _partial_via_L_cases(k, k, mmax):
-        ok = got == want
-        detail = "" if ok else (
-            f"sum B_n L_{k}+n c_{m} = {got.render()} vs d_k c_{m} = {want.render()}")
-        cells.append(cell(ok, detail, k=k, m=m))
-    return CheckReport("lemma41", tuple(cells))
-
-
-def _partial_via_L_cases(kmin: int, kmax: int, mmax: int):
     bs = inverse_deriv_coeffs(max(mmax - kmin, 0))
     ops = {j: make_L(j) for j in range(kmin, mmax + 1)}
     for k in range(kmin, kmax + 1):
         for m in range(1, mmax + 1):
             cm = CoeffPoly.var(m)
             acc = CoeffPoly.zero()
-            for n in range(0, max(m - k, 0) + 1):
-                if k + n > m:
-                    break
+            for n in range(0, m - k + 1):
                 acc = acc + bs[n] * ops[k + n].apply_poly(cm)
             want = CoeffPoly.one() if m == k else CoeffPoly.zero()
-            yield k, m, acc, want
+            yield IdentityPair("lemma41", (("k", k), ("m", m)), acc, want)
+
+
+def partial_via_L(k: int, mmax: int) -> CheckReport:
+    """lemma41_pairs for the single index k."""
+    return report_from_pairs("lemma41", lemma41_pairs(k, mmax, k), ("k", "m"))
 
 
 def lemma41_check(kmax: int, mmax: int) -> CheckReport:
     """partial_via_L over a rectangle of (k, m)."""
-    cells = []
-    for k, m, got, want in _partial_via_L_cases(1, kmax, mmax):
-        ok = got == want
-        detail = "" if ok else (
-            f"sum B_n L_{k}+n c_{m} = {got.render()} vs d_{k} c_{m} = {want.render()}")
-        cells.append(cell(ok, detail, k=k, m=m))
-    return CheckReport("lemma41", tuple(cells))
-
-
-def lemma41_pairs(kmax: int, mmax: int) -> list[IdentityPair]:
-    return [IdentityPair("lemma41", (("k", k), ("m", m)), got, want)
-            for k, m, got, want in _partial_via_L_cases(1, kmax, mmax)]
+    return report_from_pairs("lemma41", lemma41_pairs(kmax, mmax), ("k", "m"))
 
 
 def sample_polynomials(count: int = 20) -> list[CoeffPoly]:
@@ -354,38 +277,27 @@ def sample_polynomials(count: int = 20) -> list[CoeffPoly]:
     return base[:count]
 
 
-def _commutation_cases(n: int, j: int, samples):
-    dn = partial_derivation(n)
-    lj = make_L(j)
-    dnj = partial_derivation(n + j)
-    for idx, target in enumerate(samples):
-        lhs = dn.apply_poly(lj.apply_poly(target))
-        rhs = lj.apply_poly(dn.apply_poly(target)) + dnj.apply_poly(target) * (n + 1)
-        yield idx, lhs, rhs
+def commutation_pairs(nmax: int, jmax: int, samples=None, nmin: int = 1,
+                      jmin: int = 1):
+    """The mixing rule d_n L_j = L_j d_n + (n+1) d_{n+j} on sample polynomials,
+    for nmin <= n <= nmax and jmin <= j <= jmax."""
+    if samples is None:
+        samples = sample_polynomials()
+    for n in range(nmin, nmax + 1):
+        dn = partial_derivation(n)
+        for j in range(jmin, jmax + 1):
+            lj = make_L(j)
+            dnj = partial_derivation(n + j)
+            for idx, target in enumerate(samples):
+                lhs = dn.apply_poly(lj.apply_poly(target))
+                rhs = lj.apply_poly(dn.apply_poly(target)) + dnj.apply_poly(target) * (n + 1)
+                yield IdentityPair("commutation", (("n", n), ("j", j), ("sample", idx)),
+                                   lhs, rhs)
 
 
 def commutation_check(n: int, j: int, samples=None) -> CheckReport:
-    """The mixing rule d_n L_j = L_j d_n + (n+1) d_{n+j} on sample polynomials."""
+    """commutation_pairs for the single index pair (n, j)."""
     if n < 1 or j < 1:
         raise ValueError("need n, j >= 1")
-    if samples is None:
-        samples = sample_polynomials()
-    cells = []
-    for idx, lhs, rhs in _commutation_cases(n, j, samples):
-        ok = lhs == rhs
-        detail = "" if ok else (
-            f"sample {idx}: {lhs.render()} != {rhs.render()}")
-        cells.append(cell(ok, detail, n=n, j=j, sample=idx))
-    return CheckReport("commutation", tuple(cells))
-
-
-def commutation_pairs(nmax: int, jmax: int, samples=None) -> list[IdentityPair]:
-    if samples is None:
-        samples = sample_polynomials()
-    out = []
-    for n in range(1, nmax + 1):
-        for j in range(1, jmax + 1):
-            for idx, lhs, rhs in _commutation_cases(n, j, samples):
-                out.append(IdentityPair(
-                    "commutation", (("n", n), ("j", j), ("sample", idx)), lhs, rhs))
-    return out
+    return report_from_pairs("commutation", commutation_pairs(n, j, samples, n, j),
+                             ("n", "j", "sample"))

@@ -26,7 +26,7 @@ import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .faberkernel import lambda_direct
 from .reports import CheckCell, CheckReport, IdentityPair
@@ -205,7 +205,7 @@ def specialize_pair(pair: IdentityPair, values: Mapping[int, object],
     return _relative_ok(lhs, rhs, tol)
 
 
-def numeric_identity_sweep(pairs: list[IdentityPair], draws: int = 25,
+def numeric_identity_sweep(pairs: Iterable[IdentityPair], draws: int = 25,
                            rng_seed: int = 2024, tol: float = 1e-12,
                            bound: float = 0.5) -> CheckReport:
     """Specialize identity pairs at random bounded coefficient vectors.
@@ -214,6 +214,7 @@ def numeric_identity_sweep(pairs: list[IdentityPair], draws: int = 25,
     seed coefficients; each draw/suite cell passes when every pair of that
     suite holds within the relative tolerance.
     """
+    pairs = list(pairs)
     nmax = 0
     for pair in pairs:
         for poly in (pair.lhs, pair.rhs):

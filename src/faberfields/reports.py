@@ -4,11 +4,16 @@ Checks return cell-by-cell results rather than a bare boolean so the CLI can
 print coverage matrices and CI can diff failures.  A cell is keyed by its
 index tuple (for example ``k`` and ``p``); the optional detail string names
 the first offending coefficient when a cell fails.
+
+Every identity is written once, as a generator of :class:`IdentityPair`
+instances; :func:`report_from_pairs` turns such a stream into the exact
+report, and the numeric sweep specializes the same pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -104,3 +109,37 @@ class IdentityPair:
     def label(self) -> str:
         keys = " ".join(f"{n}={v}" for n, v in self.indices)
         return f"{self.suite}[{keys}]"
+
+
+def report_from_pairs(suite: str, pairs: Iterable[IdentityPair],
+                      cell_keys: tuple[str, ...]) -> CheckReport:
+    """Group pairs into cells by their indices restricted to ``cell_keys``.
+
+    Cells keep the order in which their first pair arrives; a cell passes
+    when every one of its pairs has ``lhs == rhs``, and a failing cell names
+    its first differing pair.  Pairs are consumed one at a time and not
+    kept.  A pair carrying none of the cell keys belongs to no cell, and a
+    stream with no pair at all would report an empty pass: both raise.
+    """
+    verdicts: dict[tuple, str | None] = {}
+    for pair in pairs:
+        key = tuple((n, v) for n, v in pair.indices if n in cell_keys)
+        if not key:
+            raise ValueError(f"{pair.label()} carries none of the cell keys "
+                             f"{', '.join(cell_keys)}")
+        verdicts.setdefault(key, None)
+        if verdicts[key] is None and pair.lhs != pair.rhs:
+            verdicts[key] = (f"{pair.label()}: {pair.lhs.render()} "
+                             f"!= {pair.rhs.render()}")
+    if not verdicts:
+        raise ValueError(f"suite {suite}: no identity pair, so no cell to check")
+    return CheckReport(suite, tuple(CheckCell(key, detail is None, detail or "")
+                                    for key, detail in verdicts.items()))
+
+
+def series_pairs(suite: str, indices: tuple, lhs, rhs, through: int):
+    """One pair per power z^m of two Laurent series, from the lower of their
+    valuations through z^through; the power joins the indices as ``m``."""
+    for m in range(min(lhs.valuation, rhs.valuation), through + 1):
+        yield IdentityPair(suite, indices + (("m", m),),
+                           lhs.coefficient(m), rhs.coefficient(m))

@@ -69,6 +69,37 @@ def _coeff(x) -> CoeffPoly:
     raise TypeError(f"cannot use {type(x).__name__} as a series coefficient")
 
 
+def _join_terms(terms, var: str, paren_const: bool = True) -> str:
+    """Render nonzero (exponent, coefficient) terms, in the order given, as a
+    signed sum such as ``(-6*c3 + 2*c1*c2)*u - 4*c1*u^-1``.
+
+    A constant with several terms is parenthesised unless ``paren_const`` is
+    false, as in series text.
+    """
+    out = ""
+    for k, c in terms:
+        txt = c.render()
+        if k == 0:
+            body = f"({txt})" if paren_const and " " in txt else txt
+        else:
+            power = var if k == 1 else f"{var}^{k}"
+            if txt == "1":
+                body = power
+            elif txt == "-1":
+                body = f"-{power}"
+            elif " " in txt:
+                body = f"({txt})*{power}"
+            else:
+                body = f"{txt}*{power}"
+        if not out:
+            out = body
+        elif body.startswith("-"):
+            out += f" - {body[1:]}"
+        else:
+            out += f" + {body}"
+    return out or "0"
+
+
 class LaurentSeries:
     """Series with finitely many negative powers: coeffs for z^valuation..z^order.
 
@@ -238,31 +269,7 @@ class LaurentSeries:
     # -- rendering ---------------------------------------------------------------
 
     def render(self, var: str = "z") -> str:
-        parts = []
-        for k, c in self._stored():
-            if k == 0:
-                body = c.render()
-            else:
-                power = var if k == 1 else f"{var}^{k}"
-                txt = c.render()
-                if txt == "1":
-                    body = power
-                elif txt == "-1":
-                    body = f"-{power}"
-                elif " " in txt:
-                    body = f"({txt})*{power}"
-                else:
-                    body = f"{txt}*{power}"
-            parts.append(body)
-        if not parts:
-            return "0"
-        out = parts[0]
-        for body in parts[1:]:
-            if body.startswith("-"):
-                out += f" - {body[1:]}"
-            else:
-                out += f" + {body}"
-        return out
+        return _join_terms(self._stored(), var, paren_const=False)
 
     def __repr__(self):
         tail = "" if self.order is INF else f" + O(z^{self.order + 1})"
@@ -593,37 +600,8 @@ class WPoly:
         return WPoly([fn(c) for c in self.coeffs])
 
     def render(self, var: str = "w") -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coefficient(k)
-            if not c:
-                continue
-            if k == 0:
-                txt = c.render()
-                body = f"({txt})" if " " in txt else txt
-            else:
-                power = var if k == 1 else f"{var}^{k}"
-                txt = c.render()
-                if txt == "1":
-                    body = power
-                elif txt == "-1":
-                    body = f"-{power}"
-                elif " " in txt:
-                    body = f"({txt})*{power}"
-                else:
-                    body = f"{txt}*{power}"
-            parts.append(body)
-        out = parts[0]
-        for body in parts[1:]:
-            if body.startswith("-"):
-                out += f" - {body[1:]}"
-            elif body.startswith("(-") and body.endswith(")") and "+" not in body and " - " not in body:
-                out += f" + {body}"
-            else:
-                out += f" + {body}"
-        return out
+        terms = [(k, c) for k, c in enumerate(self.coeffs) if c]
+        return _join_terms(reversed(terms), var)
 
     def __repr__(self):
         return f"<WPoly {self.render()}>"
@@ -725,33 +703,7 @@ class LaurentWPoly:
         return LaurentWPoly({e: fn(c) for e, c in self.entries.items()})
 
     def render(self, var: str = "u") -> str:
-        if not self.entries:
-            return "0"
-        parts = []
-        for e in sorted(self.entries, reverse=True):
-            c = self.entries[e]
-            if e == 0:
-                txt = c.render()
-                body = f"({txt})" if " " in txt else txt
-            else:
-                power = var if e == 1 else f"{var}^{e}"
-                txt = c.render()
-                if txt == "1":
-                    body = power
-                elif txt == "-1":
-                    body = f"-{power}"
-                elif " " in txt:
-                    body = f"({txt})*{power}"
-                else:
-                    body = f"{txt}*{power}"
-            parts.append(body)
-        out = parts[0]
-        for body in parts[1:]:
-            if body.startswith("-"):
-                out += f" - {body[1:]}"
-            else:
-                out += f" + {body}"
-        return out
+        return _join_terms(sorted(self.entries.items(), reverse=True), var)
 
     def __repr__(self):
         return f"<LaurentWPoly {self.render()}>"

@@ -1,142 +1,104 @@
-"""Named check suites with default sizes, shared by the CLI and the sweep.
+"""The suite registry: every exact check suite, defined once.
 
-Default sizes match the package's own acceptance targets; ``--order N``
-rescales the index bounds for quicker or deeper runs.
+Each entry names the pair generator of its identity, the indices that key a
+report cell, its default sizes (the package's acceptance targets), how
+``--order N`` rescales them, and which of the CLI's ``--kmax``/``--pmax``
+flags it honours.  :func:`run_suite` turns the pairs into the exact report
+and :func:`collect_pairs` hands the same pairs, at the same sizes, to the
+numeric sweep.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from . import faberkernel, inversion, kirillov
-from .reports import CheckReport, IdentityPair
+from .reports import CheckReport, IdentityPair, report_from_pairs
+
+#: The size flags of ``faberfields check``; each suite honours a subset.
+FLAGS = ("kmax", "pmax")
 
 
-def _run_grunsky_symmetry(N=12):
-    return faberkernel.grunsky_symmetry_check(N)
+@dataclass(frozen=True)
+class Suite:
+    pairs: Callable[..., Iterable[IdentityPair]]
+    cell_keys: tuple[str, ...]
+    defaults: dict
+    order_map: Callable[[int], dict]
+    flags: tuple[str, ...] = ()
 
 
-def _run_routes(n=10, afield=8):
-    return faberkernel.route_equivalence_check(n, n, n, n, afield, afield)
+def _route_pairs(n, afield):
+    return faberkernel.route_equivalence_pairs(n, n, n, n, afield, afield)
 
 
-def _run_elimination(pmax=8):
-    return faberkernel.elimination_check(pmax)
-
-
-def _run_thm42(kmax=5, pmax=8):
-    return kirillov.check_thm42(kmax, pmax)
-
-
-def _run_recursion(pmax=8):
-    return kirillov.check_recursion(pmax)
-
-
-def _run_lemma41(kmax=4, mmax=12):
-    return kirillov.lemma41_check(kmax, mmax)
-
-
-def _run_commutation(nmax=4, jmax=4):
-    cells = []
-    for n in range(1, nmax + 1):
-        for j in range(1, jmax + 1):
-            cells.extend(kirillov.commutation_check(n, j).cells)
-    return CheckReport("commutation", tuple(cells))
-
-
-def _run_faber_derivative(N=8):
-    return faberkernel.faber_derivative_identity_check(N)
-
-
-def _run_gen_identity(pmax=8, kmax=8):
-    return faberkernel.gen_identity_check(pmax, kmax)
-
-
-def _run_phi_generating(xi_max=6, z_max=10):
-    return faberkernel.phi_generating_check(xi_max, z_max)
-
-
-def _run_thm51(kmax=5, pmax=5, order=10):
-    cells = inversion.check_thm51_positive(kmax, order).cells
-    cells += inversion.check_thm51_zero_and_negative(pmax, order).cells
-    return CheckReport("thm51", tuple(cells))
-
-
-def _run_unique_elimination(ps=(2, 3), order=6):
-    cells = ()
-    for p in ps:
-        cells += inversion.unique_elimination_check(p, order).cells
-    return CheckReport("unique-elimination", cells)
-
-
-def _run_negative_action(pmax=8):
-    return kirillov.negative_action_report(pmax)
-
-
-_EXACT_SUITES: dict[str, tuple[Callable[..., CheckReport], Callable[[int], dict]]] = {
-    "grunsky-symmetry": (_run_grunsky_symmetry, lambda o: {"N": o}),
-    "routes": (_run_routes, lambda o: {"n": o, "afield": max(min(o, 8), 1)}),
-    "elimination": (_run_elimination, lambda o: {"pmax": o}),
-    "thm42": (_run_thm42, lambda o: {"kmax": min(5, o), "pmax": o}),
-    "recursion": (_run_recursion, lambda o: {"pmax": o}),
-    "lemma41": (_run_lemma41, lambda o: {"kmax": 4, "mmax": o + 4}),
-    "commutation": (_run_commutation, lambda o: {"nmax": min(4, o), "jmax": min(4, o)}),
-    "faber-derivative": (_run_faber_derivative, lambda o: {"N": o}),
-    "gen-identity": (_run_gen_identity, lambda o: {"pmax": o, "kmax": o}),
-    "phi-generating": (_run_phi_generating,
-                       lambda o: {"xi_max": min(6, o), "z_max": o + 2}),
-    "thm51": (_run_thm51, lambda o: {"kmax": min(5, o), "pmax": min(5, o),
-                                     "order": o + 2}),
-    "unique-elimination": (_run_unique_elimination, lambda o: {"order": max(o, 4)}),
-    "negative-action": (_run_negative_action, lambda o: {"pmax": o}),
+_SUITES: dict[str, Suite] = {
+    "grunsky-symmetry": Suite(faberkernel.grunsky_symmetry_pairs, ("n", "k"),
+                              {"N": 12}, lambda o: {"N": o}),
+    "routes": Suite(_route_pairs, faberkernel.ROUTE_KEYS, {"n": 10, "afield": 8},
+                    lambda o: {"n": o, "afield": max(min(o, 8), 1)}),
+    "elimination": Suite(faberkernel.elimination_pairs, ("p", "m"), {"pmax": 8},
+                         lambda o: {"pmax": o}, ("pmax",)),
+    "thm42": Suite(kirillov.thm42_pairs, ("k", "n"), {"kmax": 5, "pmax": 8},
+                   lambda o: {"kmax": min(5, o), "pmax": o}, ("kmax", "pmax")),
+    "recursion": Suite(kirillov.recursion_pairs, ("p",), {"pmax": 8},
+                       lambda o: {"pmax": o}, ("pmax",)),
+    "lemma41": Suite(kirillov.lemma41_pairs, ("k", "m"), {"kmax": 4, "mmax": 12},
+                     lambda o: {"kmax": 4, "mmax": o + 4}, ("kmax",)),
+    "commutation": Suite(kirillov.commutation_pairs, ("n", "j", "sample"),
+                         {"nmax": 4, "jmax": 4},
+                         lambda o: {"nmax": min(4, o), "jmax": min(4, o)}),
+    "faber-derivative": Suite(faberkernel.faber_derivative_pairs, ("n",), {"N": 8},
+                              lambda o: {"N": o}),
+    "gen-identity": Suite(faberkernel.gen_identity_pairs, ("p", "k"),
+                          {"pmax": 8, "kmax": 8}, lambda o: {"pmax": o, "kmax": o},
+                          ("pmax", "kmax")),
+    "phi-generating": Suite(faberkernel.phi_generating_pairs, ("p",),
+                            {"xi_max": 6, "z_max": 10},
+                            lambda o: {"xi_max": min(6, o), "z_max": o + 2}),
+    "thm51": Suite(inversion.thm51_pairs, ("group", "k", "p"),
+                   {"kmax": 5, "pmax": 5, "N": 10},
+                   lambda o: {"kmax": min(5, o), "pmax": min(5, o), "N": o + 2},
+                   ("kmax", "pmax")),
+    "unique-elimination": Suite(inversion.unique_elimination_pairs, ("p", "m"),
+                                {"ps": (2, 3), "N": 6}, lambda o: {"N": max(o, 4)}),
+    "negative-action": Suite(kirillov.negative_action_pairs, ("p", "N"), {"pmax": 8},
+                             lambda o: {"pmax": o}, ("pmax",)),
 }
 
 
 def suite_names() -> list[str]:
-    return list(_EXACT_SUITES)
+    return list(_SUITES)
+
+
+def _sizes(suite: Suite, order: int | None, overrides: dict) -> dict:
+    """Default sizes, rescaled by ``order``; the flags the suite honours win."""
+    unknown = set(overrides) - set(FLAGS)
+    if unknown:
+        raise TypeError(f"unknown size override {', '.join(sorted(unknown))} "
+                        f"(have {', '.join(FLAGS)})")
+    sizes = dict(suite.defaults)
+    if order is not None:
+        sizes.update(suite.order_map(order))
+    sizes.update((k, v) for k, v in overrides.items() if k in suite.flags)
+    return sizes
 
 
 def run_suite(name: str, order: int | None = None, **overrides) -> CheckReport:
-    """Run one exact suite; ``order`` rescales index bounds, overrides win."""
-    if name not in _EXACT_SUITES:
-        raise KeyError(f"unknown suite '{name}' (have {', '.join(_EXACT_SUITES)})")
-    runner, order_map = _EXACT_SUITES[name]
-    kwargs = order_map(order) if order is not None else {}
-    kwargs.update(overrides)
-    return runner(**kwargs)
+    """Run one exact suite; ``order`` rescales its sizes and ``kmax``/``pmax``
+    overrides win where the suite honours them."""
+    if name not in _SUITES:
+        raise KeyError(f"unknown suite '{name}' (have {', '.join(_SUITES)})")
+    suite = _SUITES[name]
+    return report_from_pairs(name, suite.pairs(**_sizes(suite, order, overrides)),
+                             suite.cell_keys)
 
 
-def collect_pairs(order: int | None = None) -> list[IdentityPair]:
-    """Identity pairs of every exact suite, for the numeric sweep.
-
-    Without an order this uses the acceptance-scale defaults.
-    """
-
-    def sz(name, key, default):
-        if order is None:
-            return default
-        return _EXACT_SUITES[name][1](order).get(key, default)
-
+def collect_pairs(order: int | None = None, **overrides) -> list[IdentityPair]:
+    """Identity pairs of every exact suite, for the numeric sweep, at exactly
+    the sizes :func:`run_suite` checks for the same arguments."""
     pairs: list[IdentityPair] = []
-    pairs += faberkernel.grunsky_symmetry_pairs(sz("grunsky-symmetry", "N", 12))
-    n = sz("routes", "n", 10)
-    af = sz("routes", "afield", 8)
-    pairs += faberkernel.route_equivalence_pairs(n, n, n, n, af, af)
-    pairs += faberkernel.elimination_pairs(sz("elimination", "pmax", 8))
-    pairs += kirillov.thm42_pairs(sz("thm42", "kmax", 5), sz("thm42", "pmax", 8))
-    pairs += kirillov.recursion_pairs(sz("recursion", "pmax", 8))
-    pairs += kirillov.lemma41_pairs(sz("lemma41", "kmax", 4),
-                                    sz("lemma41", "mmax", 12))
-    pairs += kirillov.commutation_pairs(sz("commutation", "nmax", 4),
-                                        sz("commutation", "jmax", 4))
-    pairs += faberkernel.faber_derivative_pairs(sz("faber-derivative", "N", 8))
-    pairs += faberkernel.gen_identity_pairs(sz("gen-identity", "pmax", 8),
-                                            sz("gen-identity", "kmax", 8))
-    pairs += faberkernel.phi_generating_pairs(sz("phi-generating", "xi_max", 6),
-                                              sz("phi-generating", "z_max", 10))
-    pairs += inversion.thm51_pairs(sz("thm51", "kmax", 5), sz("thm51", "pmax", 5),
-                                   sz("thm51", "order", 10))
-    pairs += inversion.unique_elimination_pairs((2, 3),
-                                                sz("unique-elimination", "order", 6))
-    pairs += kirillov.negative_action_pairs(sz("negative-action", "pmax", 8), 12)
+    for suite in _SUITES.values():
+        pairs.extend(suite.pairs(**_sizes(suite, order, overrides)))
     return pairs

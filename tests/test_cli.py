@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from faberfields.cli import main
 
 
@@ -111,6 +113,36 @@ class TestCheck:
         assert code == 0
         assert "overall: PASS" in out
         assert "numeric-sweep" in out
+
+
+    @pytest.mark.parametrize("argv", [
+        ("--suite", "recursion", "--pmax", "-1"),
+        ("--suite", "thm42", "--kmax", "0"),
+        ("--suite", "elimination", "--order", "-2"),
+        ("--suite", "sweep", "--draws", "0"),
+        ("--suite", "contour", "--M", "0", "--pmax", "1"),
+    ])
+    def test_empty_sizes_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, "check", *argv)
+        assert code == 2
+        assert not out
+        assert f"--{argv[2].lstrip('-')} {argv[3]} is below" in err
+
+    def test_pmax_zero_still_runs(self, capsys):
+        code, out, _ = run(capsys, "check", "--suite", "recursion", "--pmax", "0")
+        assert code == 0
+        assert "PASS (1/1 cells)" in out
+
+    def test_suite_without_cells_is_an_error(self, capsys):
+        # negative-action starts at p = 1, so --pmax 0 leaves it nothing to check.
+        code, out, err = run(capsys, "check", "--suite", "negative-action",
+                             "--pmax", "0")
+        assert code == 2
+        assert "no identity pair" in err
+
+    def test_suite_help_lists_registry(self, capsys):
+        assert main(["check", "--help"]) == 0
+        assert "negative-action" in capsys.readouterr().out
 
 
 class TestEval:
