@@ -40,6 +40,7 @@ from .series import (
     laurent_pow,
     laurent_recip,
     seed_series,
+    unit_pow,
     zero_series,
 )
 
@@ -88,6 +89,15 @@ def _f_powers(order: int, mmax: int) -> list[LaurentSeries]:
     for _ in range(mmax):
         powers.append((powers[-1] * f).truncate(order))
     return powers
+
+
+def _f_power(order: int, e: int) -> LaurentSeries:
+    """f^e = z^e (f/z)^e with f taken through z^order, for any integer e.
+
+    The unit power comes from the ``unit_pow`` kernel, so f^e is determined
+    through z^(order - 1 + e).
+    """
+    return unit_pow(_seed(order).shift(-1), e).shift(e)
 
 
 # -- family containers ------------------------------------------------------------
@@ -373,22 +383,17 @@ def phi_p(p: int, N: int) -> LaurentSeries:
 
 @lru_cache(maxsize=None)
 def _elimination_family(P: int, f_order: int) -> tuple:
-    """E_p = z^(1-p) f'(z) + Lambda_p(f(z)) for p = 0..P, one power ladder.
+    """E_p = z^(1-p) f'(z) + Lambda_p(f(z)) for p = 0..P, sharing one table of
+    powers f^e, e = 1-P..1.
 
-    All negative powers of f are built incrementally from a single
-    reciprocal, so the family costs barely more than its largest member.
+    Each negative power is one run of the power kernel on f/z, so no power
+    costs a dense product of two series.
     """
     f = _seed(f_order)
     fprime = f.derivative()
     lams = lambda_direct(P)
     pows = {0: const_series(1), 1: f}
-    if P >= 2:
-        finv = laurent_recip(f)
-        cur = finv
-        pows[-1] = cur
-        for e in range(-2, -P, -1):
-            cur = cur * finv
-            pows[e] = cur
+    pows.update((e, _f_power(f_order, e)) for e in range(-1, -P, -1))
     out = []
     for p in range(P + 1):
         e_ser = fprime.shift(1 - p)
@@ -584,12 +589,8 @@ def _gen_identity_rows(P: int, K: int):
     fu_pow = _f_powers(P + 1, P)
     u_parts = [s * fm for fm in fu_pow]  # S * f(u)^m
     nv_seed = K + P + 2
-    fv = _seed(nv_seed)
-    fv_prime = fv.derivative()
-    fv_inv = laurent_recip(fv)
-    v_parts = [fv]  # f(v)^{1-m}, built incrementally
-    for _ in range(P):
-        v_parts.append(v_parts[-1] * fv_inv)
+    fv_prime = _seed(nv_seed).derivative()
+    v_parts = [_f_power(nv_seed, 1 - m) for m in range(P + 1)]  # f(v)^{1-m}
     rows = []
     for p in range(P + 1):
         row = zero_series(K)
@@ -630,11 +631,8 @@ def _phi_generating_rows(xi_max: int, z_max: int):
     s = _s_series(xi_max)
     fxi_pow = _f_powers(xi_max + 1, xi_max)
     u_parts = [s * fm for fm in fxi_pow]
-    fz = _seed(z_max + xi_max + 2)
-    fz_inv = laurent_recip(fz)
-    z_parts = [fz]  # f(z)^{1-m}, built incrementally
-    for _ in range(xi_max):
-        z_parts.append(z_parts[-1] * fz_inv)
+    z_parts = [_f_power(z_max + xi_max + 2, 1 - m)
+               for m in range(xi_max + 1)]  # f(z)^{1-m}
     rows = []
     for p in range(xi_max + 1):
         row = zero_series(z_max)

@@ -13,9 +13,18 @@ act on them coefficientwise.  The identities checked here:
     L_{-p} g^p  = -p - Lambda_p(z) (g^p)'        (p >= 1)
 
 where Lambda_p(z) is the eliminator Laurent polynomial read at the series
-variable.  Laurent products that mix a z^{1-p} principal part with power
-series are carried with enough internal margin that conclusions at the
-requested order are exact; the series layer errors out otherwise.
+variable.
+
+g comes from :func:`~faberfields.series.ps_reversion` (Lagrange inversion,
+checked by composing back to z).  Its other powers are read off the powers
+(f/w)^(-m) of the seed by the Lagrange-Burmann formula, each power taken by
+Miller's recurrence (``series.unit_pow``), so no power of g costs a product
+of two dense series; ``unique_elimination_pairs`` keeps ``laurent_pow`` as
+an independent route.
+
+Laurent products that mix a z^{1-p} principal part with power series are
+carried with enough internal margin that conclusions at the requested order
+are exact; the series layer errors out otherwise.
 """
 
 from __future__ import annotations
@@ -25,15 +34,15 @@ from functools import lru_cache
 
 from .faberkernel import a_field_direct, lambda_direct
 from .kirillov import make_L
-from .polyring import CoeffPoly
+from .polyring import CoeffPoly, poly_div_int
 from .reports import CheckReport, IdentityPair, report_from_pairs, series_pairs
 from .series import (
     LaurentSeries,
     const_series,
     laurent_pow,
-    laurent_recip,
     ps_reversion,
     seed_series,
+    unit_pow,
     z_series,
     zero_series,
 )
@@ -66,23 +75,41 @@ def _reversion(order: int) -> LaurentSeries:
     return ps_reversion(seed_series(order))
 
 
-def _incremental_powers(g: LaurentSeries, qmin: int, qmax: int) -> dict:
-    """{q: g^q} for q in [qmin, qmax], one product per step."""
-    pows = {0: const_series(1)}
-    if qmax >= 1:
-        cur = g
-        pows[1] = cur
-        for q in range(2, qmax + 1):
-            cur = cur * g
-            pows[q] = cur
+def _reverse_powers(g: LaurentSeries, qmin: int, qmax: int) -> dict:
+    """{q: g^q} for q in [qmin, qmax], where g = f^{-1} is known through z^o.
+
+    Lagrange inversion reads every power off the powers of f/w:
+
+        [z^m] g^q = (q/m) [w^(m-q)] (f/w)^(-m)      (m != 0),
+        [z^0] g^q = [w^(-q)] f'(w) (f/w)^(-1)       (Burmann form, q < 0),
+
+    so g^q is known through z^(o - 1 + q).  Each (f/w)^(-m) is one run of
+    the ``unit_pow`` kernel, through the highest w power any q reads, and is
+    dropped once every q has read it.  g itself (q = 1) is the reversion,
+    which passed its composition check.
+    """
+    o = g.order
+    f = seed_series(o)
+    h = f.shift(-1)
+    qs = [q for q in range(qmin, qmax + 1) if q not in (0, 1)]
+    coeffs = {q: [None] * o for q in qs}  # z^q .. z^(o-1+q)
+    for m in range(qmin, o + qmax):
+        readers = [q for q in qs if q <= m <= o - 1 + q]
+        if m and readers:
+            hm = unit_pow(h.truncate(m - readers[0]), -m)
+            for q in readers:
+                coeffs[q][m - q] = poly_div_int(hm.coefficient(m - q) * q, m)
     if qmin < 0:
-        ginv = laurent_recip(g)
-        cur = ginv
-        pows[-1] = cur
-        for q in range(-2, qmin - 1, -1):
-            cur = cur * ginv
-            pows[q] = cur
-    return {q: s for q, s in pows.items() if qmin <= q <= qmax}
+        burmann = f.derivative() * unit_pow(h.truncate(-qmin), -1)
+        for q in qs:
+            if -o < q < 0:
+                coeffs[q][-q] = burmann.coefficient(-q)
+    pows = {q: LaurentSeries(q, c, o - 1 + q) for q, c in coeffs.items()}
+    if qmin <= 0 <= qmax:
+        pows[0] = const_series(1)
+    if qmin <= 1 <= qmax:
+        pows[1] = g
+    return pows
 
 
 def reverse_table(qmin: int, qmax: int, N: int) -> ReverseSeriesTable:
@@ -93,7 +120,7 @@ def reverse_table(qmin: int, qmax: int, N: int) -> ReverseSeriesTable:
         raise ValueError("need N >= 1")
     margin = max(0, -qmin) + 1
     g = _reversion(N + margin)
-    pows = _incremental_powers(g, qmin, qmax)
+    pows = _reverse_powers(g, qmin, qmax)
     return ReverseSeriesTable(qmin, qmax, N,
                               {q: s.truncate(N) for q, s in pows.items()})
 
@@ -106,7 +133,7 @@ def _thm51_pairs(group: str, indices: tuple, lhs, rhs, N: int):
 def thm51_positive_pairs(kmax: int, N: int):
     """L_k g = -g^{k+1} and L_k g^{-k} = k, exact through z^N."""
     g = _reversion(N + kmax + 1)
-    pows = _incremental_powers(g, -kmax, kmax + 1)
+    pows = _reverse_powers(g, -kmax, kmax + 1)
     for k in range(1, kmax + 1):
         op = make_L(k)
         yield from _thm51_pairs("power", (("k", k),), op.apply(g.truncate(N)),
@@ -123,7 +150,7 @@ def check_thm51_positive(kmax: int, N: int) -> CheckReport:
 def thm51_zero_negative_pairs(pmax: int, N: int):
     """The L_0, L_{-1}, L_{-p} and L_{-p} g^p identity groups, exact through z^N."""
     g = _reversion(N + pmax + 1)  # margin for Laurent products with Lambda_p(z)
-    pows = _incremental_powers(g, min(1 - pmax, -1), max(pmax, 1))
+    pows = _reverse_powers(g, min(1 - pmax, -1), max(pmax, 1))
     gprime = g.derivative()
     lams = lambda_direct(max(pmax, 1))
 

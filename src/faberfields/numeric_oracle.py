@@ -227,16 +227,13 @@ def numeric_identity_sweep(pairs: Iterable[IdentityPair], draws: int = 25,
         seed = random_seed(rng_seed + d, bound=bound, nmax=max(nmax, 1))
         values = seed.coeff_map(max(nmax, 1))
         for suite_name in sorted(by_suite):
-            worst = 0.0
-            first_bad = None
+            detail = ""
             for pair in by_suite[suite_name]:
                 ok, rel = specialize_pair(pair, values, tol)
-                worst = max(worst, rel)
-                if not ok and first_bad is None:
-                    first_bad = pair
-            ok = first_bad is None
-            detail = "" if ok else (
-                f"{first_bad.label()} off by relative {worst:.3e} at {seed.name}")
+                if not ok:
+                    detail = f"{pair.label()} off by relative {rel:.3e} at {seed.name}"
+                    break
+            ok = not detail
             cells.append(CheckCell(
                 (("draw", d),) + (("suite", suite_name),), ok, detail))
     return CheckReport("numeric-sweep", tuple(cells))

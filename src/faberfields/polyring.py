@@ -460,6 +460,26 @@ def poly_from_bucket(bucket: dict) -> CoeffPoly:
     return res
 
 
+def poly_div_int(a: CoeffPoly, n: int, exact: bool = False) -> CoeffPoly:
+    """a / n for a nonzero integer n; whole quotients are kept as ints.
+
+    With ``exact`` the division is asserted to leave no remainder, i.e. every
+    coefficient of ``a`` is an integer multiple of n.
+    """
+    out = {}
+    for m, q in a._terms.items():
+        if exact:
+            d, r = divmod(q, n)
+            assert not r, f"{q} is not divisible by {n}"
+            out[m] = d
+        else:
+            d = Fraction(q, n)
+            out[m] = d.numerator if d.denominator == 1 else d
+    res = CoeffPoly.__new__(CoeffPoly)
+    res._terms = out
+    return res
+
+
 # -- spec-level operation names ---------------------------------------------
 
 def poly_add(a: CoeffPoly, b: CoeffPoly) -> CoeffPoly:

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .polyring import CoeffPoly, accumulate_product, poly_from_bucket
+from .polyring import CoeffPoly, accumulate_product, poly_div_int, poly_from_bucket
 
 INF = math.inf
 
@@ -432,6 +432,41 @@ def laurent_pow(a: LaurentSeries, k: int) -> LaurentSeries:
     return result
 
 
+def unit_pow(h: LaurentSeries, alpha: int) -> PowerSeries:
+    """h**alpha for h = 1 + h_1 z + h_2 z^2 + ... and any integer alpha.
+
+    Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), with b_0 = 1:
+
+        n b_n = sum_{k=1..n} ((alpha + 1) k - n) h_k b_{n-k}.
+
+    Each step multiplies the coefficients h_k (single monomials for the
+    seed) by earlier b_j, never two dense coefficients, and term n depends
+    only on earlier terms.  The result is known through ``h.order``.  When
+    every coefficient of h is integral, so is every b_n, and the division by
+    n is asserted to be exact.
+    """
+    if not isinstance(alpha, int):
+        raise TypeError("series powers must be integers")
+    if h.valuation < 0 or h.coefficient(0) != CoeffPoly.one():
+        raise SeriesError("power kernel requires constant term exactly 1")
+    if h.order is INF:
+        raise SeriesError("power of an exact series is an infinite object; "
+                          "truncate first")
+    tail = [(k, c) for k, c in h._stored() if k > 0]
+    integral = all(q.denominator == 1 for _, c in tail for q in c.terms.values())
+    b = [CoeffPoly.one()]
+    for n in range(1, h.order + 1):
+        bucket: dict = {}
+        for k, hk in tail:
+            if k > n:
+                break
+            factor = (alpha + 1) * k - n
+            if factor and b[n - k]:
+                accumulate_product(bucket, b[n - k], hk * factor)
+        b.append(poly_div_int(poly_from_bucket(bucket), n, exact=integral))
+    return _make(dict(enumerate(b)), h.order)
+
+
 def ps_div(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     """a/b; b needs an invertible (nonzero rational) leading coefficient."""
     return a * laurent_recip(b)
@@ -475,7 +510,9 @@ def ps_compose(outer: LaurentSeries, inner: LaurentSeries) -> LaurentSeries:
 def ps_reversion(a: LaurentSeries) -> LaurentSeries:
     """Compositional inverse g of a = z + ..., with a(g(z)) = g(a(z)) = z.
 
-    Newton updates on truncated series; each step doubles the correct order.
+    Lagrange inversion, g_m = (1/m) [w^(m-1)] (a/w)^(-m), each power by the
+    :func:`unit_pow` kernel; g is known through ``a.order``.  The result must
+    satisfy a(g(z)) = z, which is checked by composition.
     """
     if a.effective_valuation() != 1 or a.coefficient(1) != CoeffPoly.one() \
             or a.coefficient(0):
@@ -484,18 +521,11 @@ def ps_reversion(a: LaurentSeries) -> LaurentSeries:
     if n is INF:
         raise SeriesError("reversion of an exact series is an infinite object; "
                           "truncate first")
-    ident = z_series()
-    g = ident
-    da = a.derivative()
-    steps = max(1, math.ceil(math.log2(n)) + 1)
-    for _ in range(steps):
-        err = ps_compose(a, g.truncate(n)) - ident
-        if err.is_zero():
-            break
-        g = g - ps_div(err, ps_compose(da, g.truncate(n)))
-    g = g.truncate(n)
-    if not (ps_compose(a, g) - ident).is_zero():
-        raise SeriesError("reversion did not converge; input order too small")
+    h = a.shift(-1)
+    g = _make({m: poly_div_int(unit_pow(h.truncate(m - 1), -m).coefficient(m - 1), m)
+               for m in range(1, n + 1)}, n)
+    if not (ps_compose(a, g) - z_series()).is_zero():
+        raise SeriesError("reversion failed its composition self-check")
     return g
 
 

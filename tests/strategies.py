@@ -31,6 +31,13 @@ unit_series = st.lists(small_coeff_polys, min_size=0, max_size=4).map(
     lambda tail: PowerSeries([CoeffPoly.one()] + tail)
 )
 
+# Unit series with integer coefficients: every power has integer coefficients.
+integral_unit_series = st.lists(
+    st.dictionaries(monomials, st.integers(min_value=-5, max_value=5), max_size=2)
+    .map(CoeffPoly),
+    min_size=0, max_size=4,
+).map(lambda tail: PowerSeries([CoeffPoly.one()] + tail))
+
 # Series of the form z + (higher order), the admissible reversion inputs.
 reversible_series = st.lists(small_coeff_polys, min_size=0, max_size=3).map(
     lambda tail: PowerSeries([CoeffPoly.zero(), CoeffPoly.one()] + tail)

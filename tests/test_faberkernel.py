@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faberfields.faberkernel import (
+    _elimination_family,
+    _f_power,
+    _seed,
     a_field_direct,
     a_field_grunsky,
     diag_a,
@@ -22,7 +27,15 @@ from faberfields.faberkernel import (
     t_polys,
 )
 from faberfields.polyring import CoeffPoly, c
-from faberfields.series import LaurentWPoly, WPoly, laurent_recip, seed_series, series_agree
+from faberfields.series import (
+    LaurentWPoly,
+    WPoly,
+    const_series,
+    laurent_pow,
+    laurent_recip,
+    seed_series,
+    series_agree,
+)
 
 c1, c2, c3 = c(1), c(2), c(3)
 one = CoeffPoly.one()
@@ -276,6 +289,29 @@ class TestElimination:
         e = elimination_series(2, 8)
         for n in range(1, 5):
             assert e.coefficient(n + 1) == table.A(2, n)
+
+
+class TestSeedPowers:
+    """The kernel's powers f^e against repeated products and reciprocals."""
+
+    @given(st.integers(min_value=1, max_value=16), st.integers(min_value=-8, max_value=8))
+    @settings(max_examples=40, deadline=None)
+    def test_against_laurent_pow(self, order, e):
+        want = laurent_pow(_seed(order), e) if e else const_series(1).truncate(order - 1)
+        assert _f_power(order, e) == want
+
+    @pytest.mark.parametrize("P, order", [(2, 6), (5, 12), (8, 18)])
+    def test_elimination_family_members(self, P, order):
+        # Every member rebuilt with f^e = laurent_pow(f, e) for e < 0.
+        f = _seed(order)
+        lams = lambda_direct(P)
+        pows = {0: const_series(1), 1: f}
+        pows.update((e, laurent_pow(f, e)) for e in range(-1, -P, -1))
+        for p, got in enumerate(_elimination_family(P, order)):
+            want = f.derivative().shift(1 - p)
+            for e, coeff in lams.poly(p).entries.items():
+                want = want + pows[e].scale(coeff)
+            assert got == want, p
 
 
 class TestGenIdentity:

@@ -1,8 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faberfields.inversion import (
+    _reverse_powers,
+    _reversion,
     check_thm51_positive,
     check_thm51_zero_and_negative,
     reverse_table,
@@ -10,7 +14,7 @@ from faberfields.inversion import (
 )
 from faberfields.kirillov import make_L
 from faberfields.polyring import CoeffPoly, c
-from faberfields.series import laurent_recip, seed_series
+from faberfields.series import laurent_pow, laurent_recip, ps_reversion, seed_series
 
 c1, c2 = c(1), c(2)
 one = CoeffPoly.one()
@@ -81,6 +85,30 @@ class TestReverseTable:
             reverse_table(2, 1, 4)
         with pytest.raises(IndexError):
             reverse_table(1, 2, 4).power(3)
+
+
+class TestLagrangePowers:
+    """Lagrange-Burmann powers of the reverse series against repeated products."""
+
+    @given(st.integers(min_value=1, max_value=10), st.integers(min_value=-6, max_value=6),
+           st.integers(min_value=0, max_value=6))
+    @settings(max_examples=40, deadline=None)
+    def test_against_laurent_pow(self, order, qmin, width):
+        qmax = min(qmin + width, 6)
+        g = ps_reversion(seed_series(order))
+        pows = _reverse_powers(g, qmin, qmax)
+        assert sorted(pows) == list(range(qmin, qmax + 1))
+        for q, s in pows.items():
+            assert s == laurent_pow(g, q), q
+
+    def test_burmann_constant_terms(self):
+        # [z^0] g^q for q < 0 comes from the Burmann form, not from (q/m).
+        g = _reversion(10)
+        pows = _reverse_powers(g, -6, -1)
+        for q in range(-6, 0):
+            assert pows[q].order == 9 + q
+            assert pows[q].coefficient(0) == laurent_pow(g, q).coefficient(0)
+        assert pows[-1].coefficient(0) == c1
 
 
 class TestTheorem51Positive:

@@ -128,6 +128,16 @@ class TestSweep:
         assert not rep.passed
         assert "broken" in rep.first_failure.detail
 
+    def test_detail_names_the_first_failing_pairs_own_error(self):
+        near = IdentityPair("demo", (("i", 0),), CoeffPoly.zero(),
+                            CoeffPoly.const(Fraction(1, 10**9)))
+        far = IdentityPair("demo", (("i", 1),), CoeffPoly.zero(),
+                           CoeffPoly.const(Fraction(4, 5)))
+        rep = numeric_identity_sweep([near, far], draws=1)
+        assert not rep.passed
+        assert rep.first_failure.detail == \
+            "demo[i=0] off by relative 1.000e-09 at random(2024)"
+
     def test_small_order_all_suites(self):
         pairs = suites.collect_pairs(order=3)
         rep = numeric_identity_sweep(pairs, draws=3)

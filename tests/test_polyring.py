@@ -13,6 +13,7 @@ from faberfields.polyring import (
     mono_weight,
     partial,
     poly_add,
+    poly_div_int,
     poly_mul,
     specialize,
     weight_components,
@@ -195,3 +196,19 @@ class TestQueries:
         assert CoeffPoly.zero().homogeneous_weight() is None
         with pytest.raises(ValueError):
             (c1 + c2).homogeneous_weight()
+
+
+class TestDivInt:
+    def test_whole_quotients_stay_ints(self):
+        got = poly_div_int(c1 * 6 + c2 * 3, 3, exact=True)
+        assert got == c1 * 2 + c2
+        assert all(type(q) is int for q in got.terms.values())
+
+    def test_inexact_division_is_rational(self):
+        got = poly_div_int(c1 * 3 + c2 * 4, 2)
+        assert got == c1 * Fraction(3, 2) + c2 * 2
+        assert type(got.terms[mono((2, 1))]) is int
+
+    def test_exact_division_asserts(self):
+        with pytest.raises(AssertionError):
+            poly_div_int(c1 * 3, 2, exact=True)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faberfields.polyring import CoeffPoly, c
 from faberfields.series import (
@@ -29,13 +30,15 @@ from faberfields.series import (
     ps_scale,
     seed_series,
     series_agree,
+    unit_pow,
     wpoly_eval_laurent,
     wpoly_reciprocal_substitute,
     z_series,
     zero_series,
 )
 
-from .strategies import power_series, reversible_series, unit_series
+from .oracles import newton_reversion
+from .strategies import integral_unit_series, power_series, reversible_series, unit_series
 
 c1, c2, c3 = c(1), c(2), c(3)
 one = CoeffPoly.one()
@@ -56,7 +59,8 @@ def mercator_log(x: CoeffPoly, order: int) -> PowerSeries:
 
 def lagrange_reversion(N: int) -> PowerSeries:
     """Reverse of the seed by the classical coefficient formula
-    g_n = (1/n) [z^(n-1)] (z/f(z))^n, fully independent of Newton iteration."""
+    g_n = (1/n) [z^(n-1)] (z/f(z))^n, with the powers of z/f taken by repeated
+    series products, independent of the power kernel."""
     r = laurent_recip(seed_series(N + 1).shift(-1))  # z/f
     coeffs = [zero, one]
     r_pow = r
@@ -248,6 +252,15 @@ class TestReversion:
         with pytest.raises(SeriesError):
             ps_reversion(PowerSeries([1, 1], order=3))
 
+    def test_against_newton_oracle_on_seed(self):
+        f = seed_series(9)
+        assert ps_reversion(f) == newton_reversion(f)
+
+    @given(reversible_series)
+    @settings(max_examples=30, deadline=None)
+    def test_against_newton_oracle(self, a):
+        assert ps_reversion(a) == newton_reversion(a)
+
     @given(reversible_series)
     @settings(max_examples=20, deadline=None)
     def test_round_trip_random(self, a):
@@ -256,6 +269,49 @@ class TestReversion:
         assert series_agree(back, z_series(), through=back.order) is None
         forth = ps_compose(g, a)
         assert series_agree(forth, z_series(), through=forth.order) is None
+
+
+def _integral(s: LaurentSeries) -> bool:
+    return all(type(q) is int for c in s.coeffs for q in c.terms.values())
+
+
+class TestUnitPow:
+    """Miller's recurrence against repeated products and reciprocals."""
+
+    @given(unit_series, st.integers(min_value=-8, max_value=8))
+    @settings(max_examples=60, deadline=None)
+    def test_against_laurent_pow(self, h, alpha):
+        assert unit_pow(h, alpha) == laurent_pow(h, alpha).truncate(h.order)
+
+    @given(integral_unit_series, st.integers(min_value=-8, max_value=8))
+    @settings(max_examples=40, deadline=None)
+    def test_integral_inputs_give_integral_outputs(self, h, alpha):
+        got = unit_pow(h, alpha)
+        assert _integral(got)
+        assert got == laurent_pow(h, alpha).truncate(h.order)
+
+    @given(st.integers(min_value=0, max_value=12), st.integers(min_value=-8, max_value=8))
+    @settings(max_examples=40, deadline=None)
+    def test_seed_against_laurent_pow(self, order, alpha):
+        h = seed_series(order + 1).shift(-1)  # f/z through z^order
+        got = unit_pow(h, alpha)
+        assert got.order == order
+        assert _integral(got)
+        assert got == laurent_pow(h, alpha).truncate(order)
+
+    def test_seed_literal(self):
+        h = seed_series(3).shift(-1)
+        got = unit_pow(h, -2)  # (1 + c1 z + c2 z^2)^-2
+        assert got.coefficient(1) == c1 * -2
+        assert got.coefficient(2) == c1 * c1 * 3 - c2 * 2
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(SeriesError):
+            unit_pow(PowerSeries([2, 1], order=3), -1)
+        with pytest.raises(SeriesError):
+            unit_pow(const_series(1), -1)
+        with pytest.raises(TypeError):
+            unit_pow(PowerSeries([1, 1], order=3), Fraction(1, 2))
 
 
 class TestLaurent:
