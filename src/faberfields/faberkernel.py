@@ -280,22 +280,27 @@ def grunsky_log(N: int, K: int) -> GrunskyTable:
 
         log[ (1/f(u) - 1/f(v)) / (1/u - 1/v) ] = - sum (1/n) beta_{n,k} u^n v^k.
 
-    The kernel ratio is (v r(u) - u r(v)) / (v - u) with r = z/f, formed by
-    the divided-difference operation; its diagonal vanishing is checked.
+    With h = f/z the kernel factors exactly as D(u, v) / (h(u) h(v)), where
+    D = (f(u) - f(v)) / (u - v).  Since log h(u) is free of v and log h(v)
+    free of u, neither reaches a coefficient u^n v^k with n, k >= 1, so
+    beta_{n,k} = -n [u^n v^k] log D.  D is formed from P = f(v) - f(u) by the
+    divided-difference operation, whose diagonal vanishing is checked; its
+    entries D[i][j] = c_{i+j} (c_0 = 1) are single monomials, so the log's
+    triangular solve multiplies dense coefficients only by monomials.
     """
     if N < 1 or K < 1:
         raise ValueError("need N, K >= 1")
     nv = N + K + 1
-    r = _r_series(max(N, nv))
+    f = _seed(nv)
     zero = CoeffPoly.zero()
     rows = [[zero] * (nv + 1) for _ in range(N + 1)]
-    for i in range(N + 1):
-        rows[i][1] = rows[i][1] + r.coefficient(i)  # v * r(u)
-    for j in range(nv + 1):
-        rows[1][j] = rows[1][j] - r.coefficient(j)  # - u * r(v)
+    for j in range(1, nv + 1):
+        rows[0][j] = f.coefficient(j)  # f(v)
+    for i in range(1, N + 1):
+        rows[i][0] = -f.coefficient(i)  # - f(u)
     P = BiSeries(rows, N, nv, 0, False)
-    Q = divided_difference(P)  # rectangle (N, K)
-    L = bi_log_in_u(Q)
+    D = divided_difference(P)  # rectangle (N, K)
+    L = bi_log_in_u(D)  # log(D / h(v)); the u^0 and v^0 lines are not read
     entries = {}
     for n in range(1, N + 1):
         for k in range(1, K + 1):

@@ -887,40 +887,39 @@ def divided_difference(P: BiSeries) -> BiSeries:
 
 
 def bi_log_in_u(Q: BiSeries) -> BiSeries:
-    """log Q for a bivariate series whose u^0 row is exactly 1.
+    """log(Q / Q(0, v)) for a bivariate series whose u^0 row has constant term 1.
 
-    Differentiates in u, divides by Q (a triangular solve since the leading
-    row is 1), and integrates back; the u^0 row of the result is 0.
+    The u^0 row ``head = Q(0, v)`` may be any series in v whose constant term
+    is exactly 1; the result is the log of Q with every row divided by
+    ``head``, so its u^0 row is 0.  Differentiating in u gives
+    ``W = Q_u / Q``; row i of ``Q W = Q_u`` reads
+    ``head * W[i] = t`` with ``t = (i+1) Q[i+1] - sum_{s<i} W[s] Q[i-s]``,
+    and the division by ``head`` is the back-substitution
+    ``W[i][j] = t[j] - sum_{b>=1} head[b] W[i][j-b]``, so no reciprocal
+    series is formed.  Both sums go into one accumulator per coefficient.
+    Integrating back gives row i of the log as ``W[i-1] / i``.  When the
+    entries of Q are single monomials, as for the seed's divided difference
+    ``(f(u) - f(v)) / (u - v)``, every product multiplies a dense
+    coefficient by one monomial.
     """
     if Q.vmin != 0:
         raise SeriesError("bivariate log requires a non-Laurent second variable")
-    one_row = tuple([CoeffPoly.one()] + [CoeffPoly.zero()] * Q.nv)
-    if Q.rows[0] != one_row:
-        raise SeriesError("bivariate log requires the u^0 row to be exactly 1")
+    if Q.rows[0][0] != CoeffPoly.one():
+        raise SeriesError("bivariate log requires the u^0 row to have constant term 1")
     nv = Q.nv
-
-    def row_mul(r1, r2):
-        buckets: list = [None] * (nv + 1)
-        for a, ca in enumerate(r1):
-            if not ca:
-                continue
-            for b in range(nv + 1 - a):
-                cb = r2[b]
-                if cb:
-                    bucket = buckets[a + b]
-                    if bucket is None:
-                        bucket = buckets[a + b] = {}
-                    accumulate_product(bucket, ca, cb)
-        return [poly_from_bucket(b) if b else CoeffPoly.zero() for b in buckets]
-
-    # W = (dQ/du) / Q, solved row by row in the u direction.
     W: list[list[CoeffPoly]] = []
     for i in range(Q.nu):
-        target = [c * (i + 1) for c in Q.rows[i + 1]]
-        for s in range(i):
-            prod = row_mul(W[s], Q.rows[i - s])
-            target = [t - p for t, p in zip(target, prod)]
-        W.append(target)
+        out: list[CoeffPoly] = []
+        W.append(out)
+        for j in range(nv + 1):
+            bucket: dict = {}
+            for s in range(i + 1):  # the s = i terms are the back-substitution
+                row, w = Q.rows[i - s], W[s]
+                for b in range(1 if s == i else 0, j + 1):
+                    if row[b] and w[j - b]:
+                        accumulate_product(bucket, row[b], w[j - b])
+            t = Q.rows[i + 1][j] * (i + 1)
+            out.append(t - poly_from_bucket(bucket) if bucket else t)
     rows = [[CoeffPoly.zero()] * (nv + 1)]
     for i in range(1, Q.nu + 1):
         rows.append([c * Fraction(1, i) for c in W[i - 1]])

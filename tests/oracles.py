@@ -1,8 +1,20 @@
 """Naive reference algorithms, kept outside the package to cross-check its kernels."""
 
 import math
+from fractions import Fraction
 
-from faberfields.series import LaurentSeries, ps_compose, ps_div, z_series
+from faberfields.polyring import CoeffPoly
+from faberfields.series import (
+    BiSeries,
+    LaurentSeries,
+    SeriesError,
+    divided_difference,
+    laurent_recip,
+    ps_compose,
+    ps_div,
+    seed_series,
+    z_series,
+)
 
 
 def newton_reversion(a: LaurentSeries) -> LaurentSeries:
@@ -20,3 +32,63 @@ def newton_reversion(a: LaurentSeries) -> LaurentSeries:
             break
         g = g - ps_div(err, ps_compose(da, g.truncate(n)))
     return g.truncate(n)
+
+
+def unit_row_bi_log(Q: BiSeries) -> BiSeries:
+    """log Q for a bivariate series whose u^0 row is exactly 1.
+
+    Solves W = Q_u / Q row by row in u with dense row products, and
+    integrates back; the u^0 row of the result is 0.
+    """
+    if Q.vmin != 0:
+        raise SeriesError("bivariate log requires a non-Laurent second variable")
+    one_row = tuple([CoeffPoly.one()] + [CoeffPoly.zero()] * Q.nv)
+    if Q.rows[0] != one_row:
+        raise SeriesError("bivariate log requires the u^0 row to be exactly 1")
+    nv = Q.nv
+
+    def row_mul(r1, r2):
+        out = [CoeffPoly.zero()] * (nv + 1)
+        for a, ca in enumerate(r1):
+            for b in range(nv + 1 - a):
+                out[a + b] = out[a + b] + ca * r2[b]
+        return out
+
+    W: list[list[CoeffPoly]] = []
+    for i in range(Q.nu):
+        target = [c * (i + 1) for c in Q.rows[i + 1]]
+        for s in range(i):
+            prod = row_mul(W[s], Q.rows[i - s])
+            target = [t - p for t, p in zip(target, prod)]
+        W.append(target)
+    rows = [[CoeffPoly.zero()] * (nv + 1)]
+    for i in range(1, Q.nu + 1):
+        rows.append([c * Fraction(1, i) for c in W[i - 1]])
+    return BiSeries(rows, Q.nu, Q.nv, 0, False)
+
+
+def dense_log_kernel(N: int, K: int) -> BiSeries:
+    """The kernel (1/f(u) - 1/f(v)) / (1/u - 1/v) through u^N v^K.
+
+    Formed as (v r(u) - u r(v)) / (v - u) with r = z/f = 1/(f/z) by a
+    reciprocal series; its u^0 row is exactly 1 and every entry -r_{i+j}
+    is a dense polynomial.
+    """
+    nv = N + K + 1
+    r = laurent_recip(seed_series(nv + 1).shift(-1))
+    zero = CoeffPoly.zero()
+    rows = [[zero] * (nv + 1) for _ in range(N + 1)]
+    for i in range(N + 1):
+        rows[i][1] = rows[i][1] + r.coefficient(i)  # v * r(u)
+    for j in range(nv + 1):
+        rows[1][j] = rows[1][j] - r.coefficient(j)  # - u * r(v)
+    return divided_difference(BiSeries(rows, N, nv, 0, False))
+
+
+def dense_grunsky_log(N: int, K: int) -> dict:
+    """Grunsky entries {(n, k): beta_{n,k}} from the log of the dense kernel,
+    where every row product is dense x dense.
+    """
+    L = unit_row_bi_log(dense_log_kernel(N, K))
+    return {(n, k): L.coefficient(n, k) * (-n)
+            for n in range(1, N + 1) for k in range(1, K + 1)}

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faberfields import faberkernel, series
 from faberfields.faberkernel import (
     _elimination_family,
     _f_power,
@@ -36,6 +37,8 @@ from faberfields.series import (
     seed_series,
     series_agree,
 )
+
+from .oracles import dense_grunsky_log
 
 c1, c2, c3 = c(1), c(2), c(3)
 one = CoeffPoly.one()
@@ -155,10 +158,29 @@ class TestGrunsky:
                    for n in range(1, 6) for k in range(1, 6))
 
     def test_weight_homogeneous(self):
-        t = grunsky_log(4, 4)
-        for n in range(1, 5):
-            for k in range(1, 5):
-                assert t.beta(n, k).is_homogeneous(n + k)
+        for t in (grunsky_log(4, 4), grunsky_log(8, 8), grunsky_compose(8, 8)):
+            for n in range(1, t.n_max + 1):
+                for k in range(1, t.k_max + 1):
+                    assert t.beta(n, k).is_homogeneous(n + k), (t.provenance, n, k)
+
+    @pytest.mark.parametrize("N, K", [(1, 1), (1, 8), (8, 1), (2, 5), (5, 2),
+                                      (4, 4), (6, 6), (8, 8), (3, 9), (9, 3)])
+    def test_matches_dense_oracle(self, N, K):
+        assert grunsky_log(N, K).entries == dense_grunsky_log(N, K)
+
+    def test_log_route_avoids_reciprocal_and_power_kernels(self, monkeypatch):
+        # grunsky_compose and the power ladders stand on these; the log route
+        # must not, or the two routes of the Grunsky check share code.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the log route reached a reciprocal or power kernel")
+
+        for module, name in ((series, "unit_pow"), (series, "laurent_recip"),
+                             (series, "laurent_pow"), (faberkernel, "unit_pow"),
+                             (faberkernel, "laurent_recip"), (faberkernel, "laurent_pow"),
+                             (faberkernel, "_r_series"), (faberkernel, "_f_power")):
+            monkeypatch.setattr(module, name, refuse)
+        table = grunsky_log.__wrapped__(6, 6)
+        assert table.beta(1, 1) == c1 * c1 - c2
 
 
 class TestLambda:

@@ -16,6 +16,7 @@ from faberfields.series import (
     PowerSeries,
     SeriesError,
     WPoly,
+    bi_log_in_u,
     const_series,
     divided_difference,
     laurent_mul,
@@ -37,8 +38,15 @@ from faberfields.series import (
     zero_series,
 )
 
-from .oracles import newton_reversion
-from .strategies import integral_unit_series, power_series, reversible_series, unit_series
+from .oracles import dense_log_kernel, newton_reversion, unit_row_bi_log
+from .strategies import (
+    integral_unit_series,
+    power_series,
+    rationals,
+    reversible_series,
+    small_coeff_polys,
+    unit_series,
+)
 
 c1, c2, c3 = c(1), c(2), c(3)
 one = CoeffPoly.one()
@@ -529,6 +537,69 @@ class TestDividedDifference:
         with pytest.raises(DiagonalError) as exc:
             divided_difference(BiSeries(rows, 1, 1, 0, True))
         assert exc.value.degree == 1
+
+
+@st.composite
+def bi_series_with_head(draw, unit_head=False):
+    """A small BiSeries whose u^0 row is 1 + h_1 v + ... with rational h_j."""
+    nu = draw(st.integers(min_value=1, max_value=3))
+    nv = draw(st.integers(min_value=0, max_value=3))
+    if unit_head:
+        head = [one] + [zero] * nv
+    else:
+        head = [one] + [CoeffPoly.const(q)
+                        for q in draw(st.lists(rationals, min_size=nv, max_size=nv))]
+    rows = [head] + [draw(st.lists(small_coeff_polys, min_size=nv + 1, max_size=nv + 1))
+                     for _ in range(nu)]
+    return BiSeries(rows, nu, nv, 0, False)
+
+
+def row_series(row, nv):
+    return PowerSeries(list(row), order=nv)
+
+
+class TestBiLog:
+    @given(bi_series_with_head())
+    @settings(max_examples=60, deadline=None)
+    def test_divides_by_the_head_row(self, q):
+        # log(Q / Q(0, v)) equals the unit-row log of Q with every row
+        # multiplied by 1/head, and its u^0 row is 0.
+        recip = laurent_recip(row_series(q.rows[0], q.nv))
+        scaled = [[(row_series(r, q.nv) * recip).coefficient(j) for j in range(q.nv + 1)]
+                  for r in q.rows]
+        got = bi_log_in_u(q)
+        assert all(not x for x in got.rows[0])
+        assert got == unit_row_bi_log(BiSeries(scaled, q.nu, q.nv))
+
+    @given(bi_series_with_head(unit_head=True))
+    @settings(max_examples=40, deadline=None)
+    def test_unit_head_is_the_plain_log(self, q):
+        assert bi_log_in_u(q) == unit_row_bi_log(q)
+
+    def test_unit_head_on_the_dense_kernel(self):
+        q = dense_log_kernel(4, 5)
+        assert q.rows[0] == tuple([one] + [zero] * q.nv)
+        assert bi_log_in_u(q) == unit_row_bi_log(q)
+
+    def test_log_of_one_plus_u(self):
+        # Q = (1 + c1 v)(1 + u): log(Q / Q(0, v)) = log(1 + u) = u - u^2/2 + u^3/3.
+        rows = [[one, c1], [one, c1], [zero, zero], [zero, zero]]
+        got = bi_log_in_u(BiSeries(rows, 3, 1))
+        assert [got.coefficient(i, 0) for i in range(4)] == \
+            [zero, one, CoeffPoly.const(Fraction(-1, 2)), CoeffPoly.const(Fraction(1, 3))]
+        assert all(not got.coefficient(i, 1) for i in range(4))
+
+    def test_head_constant_must_be_one(self):
+        rows = [[CoeffPoly.const(2), zero], [one, zero]]
+        with pytest.raises(SeriesError, match="constant term 1"):
+            bi_log_in_u(BiSeries(rows, 1, 1))
+        with pytest.raises(SeriesError, match="constant term 1"):
+            bi_log_in_u(BiSeries([[c1, zero], [one, zero]], 1, 1))
+
+    def test_laurent_second_variable_refused(self):
+        rows = [[zero, one, zero], [zero, one, zero]]
+        with pytest.raises(SeriesError, match="non-Laurent"):
+            bi_log_in_u(BiSeries(rows, 1, 1, vmin=-1))
 
 
 class TestJsonAndRender:
