@@ -8,12 +8,15 @@ coefficient ring:
 * the companion family ``T_n(w)`` from z f'(z)^2 / (f(z) - w f(z)^2);
 * diagonal coefficients ``a_p^p`` from z^2 f'(z)^2 / f(z)^2;
 * Grunsky coefficients ``beta_{n,k}``, by the bivariate logarithm kernel and
-  independently by expanding F_n(1/f(z));
+  independently by expanding F_n(1/f(z)) = sum_m F_n[m] f(z)^-m;
 * the eliminator Laurent polynomials ``Lambda_p(u)`` (exponents 1-p .. 1)
   that cancel every power z^m, m <= 1, of z^(1-p) f'(z) when u = f(z);
 * the vector-field coefficient tables ``A_n^p`` (and intermediates
   ``B_k^p``), again by two independent routes.
 
+Every power f^e of the seed, of either sign, comes from one kernel
+(``_f_power``, Miller's recurrence on f/z), and Lambda_p(f) and F_n(1/f) are
+each one sum sum_e c_e f^e over a table of those powers (``_eval_on_powers``).
 Where two formulas exist for the same object, both are implemented and their
 exact equality is a checked property; no family trusts another family's
 route.  Builders compute the seed truncation order they need, and the series
@@ -35,7 +38,6 @@ from .series import (
     PowerSeries,
     WPoly,
     bi_log_in_u,
-    const_series,
     divided_difference,
     laurent_pow,
     laurent_recip,
@@ -78,26 +80,22 @@ def _s_series(order: int) -> PowerSeries:
     return laurent_pow(fprime * _r_series(order), 2)
 
 
-def _f_powers(order: int, mmax: int) -> list[LaurentSeries]:
-    """[f^0, f^1, ..., f^mmax] with f taken through z^order.
-
-    Each power is truncated back to ``order``; precision beyond it is never
-    consumed, and dropping it keeps the chain of products from ballooning.
-    """
-    f = _seed(order)
-    powers = [const_series(1)]
-    for _ in range(mmax):
-        powers.append((powers[-1] * f).truncate(order))
-    return powers
-
-
 def _f_power(order: int, e: int) -> LaurentSeries:
     """f^e = z^e (f/z)^e with f taken through z^order, for any integer e.
 
     The unit power comes from the ``unit_pow`` kernel, so f^e is determined
-    through z^(order - 1 + e).
+    through z^(order - 1 + e); callers pick ``order`` so that this is the
+    highest power of z they read, since each further term is the densest.
     """
     return unit_pow(_seed(order).shift(-1), e).shift(e)
+
+
+def _eval_on_powers(poly: LaurentWPoly, pows: dict) -> LaurentSeries:
+    """poly(f) = sum_e poly[e] f^e over a table {e: f^e} of kernel powers."""
+    out = zero_series()
+    for e, coeff in poly.entries.items():
+        out = out + pows[e].scale(coeff)
+    return out
 
 
 # -- family containers ------------------------------------------------------------
@@ -194,8 +192,7 @@ class AFieldTable:
 
 def _marker_family(front: PowerSeries, max_index: int, order: int) -> list[WPoly]:
     """Coefficients of z^n in front(z) * sum_m w^m f(z)^m, arranged by w powers."""
-    powers = _f_powers(order + 1, max_index)
-    gs = [front * fm for fm in powers]
+    gs = [front * _f_power(order + 1 - m, m) for m in range(max_index + 1)]
     out = []
     for n in range(1, max_index + 1):
         out.append(WPoly([gs[m].coefficient(n) for m in range(n + 1)]))
@@ -312,16 +309,18 @@ def grunsky_log(N: int, K: int) -> GrunskyTable:
 def grunsky_compose(N: int, K: int) -> GrunskyTable:
     """Second route: beta_{n,k} is the z^k coefficient of F_n(1/f(z)).
 
-    The expansion structure F_n(1/f(z)) = z^-n + sum_{k>=1} beta_{n,k} z^k is
-    verified while reading the table off.
+    F_n(1/f) = sum_m F_n[m] f^-m is read off one table of kernel powers
+    f^-m, m = 0..N, each known exactly through the z^K read here.  The expansion
+    structure F_n(1/f(z)) = z^-n + sum_{k>=1} beta_{n,k} z^k is verified
+    while reading the table off.
     """
     if N < 1 or K < 1:
         raise ValueError("need N, K >= 1")
     fab = faber_polys(N)
-    h = laurent_recip(_seed(K + N + 2))  # 1/f(z), valuation -1
+    pows = {-m: _f_power(K + m + 1, -m) for m in range(N + 1)}
     entries = {}
     for n in range(1, N + 1):
-        expansion = fab.poly(n).eval_at(h)
+        expansion = _eval_on_powers(fab.poly(n).reciprocal_substitute(), pows)
         if expansion.coefficient(-n) != CoeffPoly.one():
             raise EliminationError(n, -n, expansion.coefficient(-n) - 1)
         for m in range(-n + 1, 1):
@@ -347,8 +346,7 @@ def lambda_direct(P: int) -> LambdaFamily:
     if P < 0:
         raise ValueError("need P >= 0")
     s = _s_series(P)
-    powers = _f_powers(P + 1, P)
-    prods = [s * fm for fm in powers]  # S * f^m, xi-order >= P
+    prods = [s * _f_power(P + 1 - m, m) for m in range(P + 1)]  # S * f^m
     entries = []
     for p in range(P + 1):
         lam = LaurentWPoly(
@@ -388,24 +386,17 @@ def phi_p(p: int, N: int) -> LaurentSeries:
 
 @lru_cache(maxsize=None)
 def _elimination_family(P: int, f_order: int) -> tuple:
-    """E_p = z^(1-p) f'(z) + Lambda_p(f(z)) for p = 0..P, sharing one table of
-    powers f^e, e = 1-P..1.
+    """E_p = z^(1-p) f'(z) + Lambda_p(f(z)) for p = 0..P, with f through z^f_order.
 
-    Each negative power is one run of the power kernel on f/z, so no power
-    costs a dense product of two series.
+    Every Lambda_p(f) is one ``_eval_on_powers`` sum over a shared table of
+    powers f^e, e = 1-P..1, each one run of the power kernel on f/z, so no
+    power costs a dense product of two series.
     """
-    f = _seed(f_order)
-    fprime = f.derivative()
+    fprime = _seed(f_order).derivative()
     lams = lambda_direct(P)
-    pows = {0: const_series(1), 1: f}
-    pows.update((e, _f_power(f_order, e)) for e in range(-1, -P, -1))
-    out = []
-    for p in range(P + 1):
-        e_ser = fprime.shift(1 - p)
-        for e, coeff in lams.poly(p).entries.items():
-            e_ser = e_ser + pows[e].scale(coeff)
-        out.append(e_ser)
-    return tuple(out)
+    pows = {e: _f_power(f_order, e) for e in range(1 - P, 2)}
+    return tuple(fprime.shift(1 - p) + _eval_on_powers(lams.poly(p), pows)
+                 for p in range(P + 1))
 
 
 def elimination_series(p: int, f_order: int) -> LaurentSeries:
@@ -487,8 +478,7 @@ def a_field_grunsky(P: int, N: int) -> AFieldTable:
 def faber_derivative_pairs(N: int):
     """f(z)/(1 - w f(z)) = sum_n F'_n(w) z^n / n, one pair per w^m of each z^n."""
     fab = faber_polys(N)
-    f = _seed(N)
-    fpow = [fm * f for fm in _f_powers(N, N)]  # f^{m+1}
+    fpow = [_f_power(N - m, m + 1) for m in range(N)]  # f^{m+1}
     for n in range(1, N + 1):
         lhs = WPoly([fpow[m].coefficient(n) * n for m in range(n)])
         rhs = fab.poly(n).deriv_w()
@@ -565,47 +555,31 @@ def route_equivalence_pairs(grunsky_n: int = 10, t_n: int = 10, diag_p: int = 10
                                a1.B(p, k), a2.B(p, k))
 
 
-def elimination_pairs(pmax: int, seed_order=None):
+def elimination_pairs(pmax: int):
     """For each p, z^(1-p) f'(z) + Lambda_p(f(z)) has no power z^m with m <= 1.
 
-    Default seed order is 2p + 10 per index, and never below p + 2.
+    Every E_p is read off one family at seed order 2 pmax + 10.
     """
-    for p in range(pmax + 1):
-        order = seed_order if seed_order is not None else 2 * p + 10
-        e = elimination_series(p, max(order, p + 2))
+    for p, e in enumerate(_elimination_family(pmax, 2 * pmax + 10)):
         for m in range(min(e.valuation, 1 - p), 2):
             yield IdentityPair("elimination", (("p", p), ("m", m)),
                                e.coefficient(m), CoeffPoly.zero())
 
 
-def elimination_check(pmax: int, seed_order=None) -> CheckReport:
+def elimination_check(pmax: int) -> CheckReport:
     """elimination_pairs as a report, one cell per power z^m of each E_p."""
-    return report_from_pairs("elimination", elimination_pairs(pmax, seed_order),
-                             ("p", "m"))
+    return report_from_pairs("elimination", elimination_pairs(pmax), ("p", "m"))
 
 
 def _gen_identity_rows(P: int, K: int):
     """Rows of the generating function for A_k^p, expanded for |u| < |v|.
 
-    Row p is the u^p coefficient: a Laurent series in v built from
-    S(u) f(v)^2 / (v (f(u) - f(v))) + v f'(v)/(v - u).
+    Row p is the u^p coefficient, a Laurent series in v, of
+    S(u) f(v)^2 / (v (f(u) - f(v))) + v f'(v)/(v - u).  Expanding
+    1/(f(u) - f(v)) in powers of f(u) / f(v) makes it
+    (Lambda_p(f(v)) + v^(1-p) f'(v)) / v = E_p(v) / v.
     """
-    s = _s_series(P)
-    fu_pow = _f_powers(P + 1, P)
-    u_parts = [s * fm for fm in fu_pow]  # S * f(u)^m
-    nv_seed = K + P + 2
-    fv_prime = _seed(nv_seed).derivative()
-    v_parts = [_f_power(nv_seed, 1 - m) for m in range(P + 1)]  # f(v)^{1-m}
-    rows = []
-    for p in range(P + 1):
-        row = zero_series(K)
-        for m in range(p + 1):
-            coeff = u_parts[m].coefficient(p)
-            if coeff:
-                row = row - v_parts[m].shift(-1).scale(coeff)  # f(v)^{1-m} / v
-        row = row + fv_prime.shift(-p)  # v f'(v) / (v - u) contributes f'(v) v^{-p}
-        rows.append(row.truncate(K))
-    return rows
+    return [e.shift(-1).truncate(K) for e in _elimination_family(P, K + P + 2)]
 
 
 def gen_identity_pairs(pmax: int, kmax: int):
@@ -632,21 +606,14 @@ def gen_identity_check(P: int, K: int) -> CheckReport:
 
 
 def _phi_generating_rows(xi_max: int, z_max: int):
-    """xi^p coefficients of S(xi) f(z)^2 / (f(xi) - f(z)), Laurent in z."""
-    s = _s_series(xi_max)
-    fxi_pow = _f_powers(xi_max + 1, xi_max)
-    u_parts = [s * fm for fm in fxi_pow]
-    z_parts = [_f_power(z_max + xi_max + 2, 1 - m)
-               for m in range(xi_max + 1)]  # f(z)^{1-m}
-    rows = []
-    for p in range(xi_max + 1):
-        row = zero_series(z_max)
-        for m in range(p + 1):
-            coeff = u_parts[m].coefficient(p)
-            if coeff:
-                row = row - z_parts[m].scale(coeff)
-        rows.append(row.truncate(z_max))
-    return rows
+    """xi^p coefficients of S(xi) f(z)^2 / (f(xi) - f(z)), Laurent in z.
+
+    Row p is Lambda_p(f(z)) = E_p(z) - z^(1-p) f'(z).
+    """
+    f_order = z_max + xi_max + 2
+    fprime = _seed(f_order).derivative()
+    return [(e - fprime.shift(1 - p)).truncate(z_max)
+            for p, e in enumerate(_elimination_family(xi_max, f_order))]
 
 
 def phi_generating_pairs(xi_max: int, z_max: int):

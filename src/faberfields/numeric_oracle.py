@@ -61,7 +61,7 @@ def koebe_seed(rho) -> NumericSeed:
     """Scaled Koebe seed: c_n = (n+1) rho^n, f(z) = z/(1 - rho z)^2.
 
     Exact rational rho keeps the coefficient values exact; univalent for
-    |z| < 1/rho.
+    |z| < 1/|rho|.
     """
     rho = Fraction(rho) if not isinstance(rho, Fraction) else rho
     rf = float(rho)
@@ -77,7 +77,7 @@ def koebe_seed(rho) -> NumericSeed:
         coeff=lambda n: (n + 1) * rho ** n,
         f=f,
         fprime=fprime,
-        univalence_radius=float("inf") if rho == 0 else 1.0 / rf,
+        univalence_radius=float("inf") if rho == 0 else 1.0 / abs(rf),
     )
 
 

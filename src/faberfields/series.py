@@ -119,7 +119,7 @@ class LaurentSeries:
         if order is not INF and valuation + len(cleaned) - 1 > order:
             raise ValueError("more coefficients supplied than the stated order allows")
         data = {valuation + i: c for i, c in enumerate(cleaned)}
-        v, o, tup = _canonical(valuation, data, order)
+        v, o, tup = _canonical(data, order)
         self.valuation = v
         self.order = o
         self.coeffs = tup
@@ -148,20 +148,9 @@ class LaurentSeries:
             return k
         return INF if self.order is INF else self.order + 1
 
-    def is_exact(self) -> bool:
-        return self.order is INF
-
     def is_zero(self) -> bool:
         """True when every known coefficient vanishes."""
         return not self.coeffs
-
-    def has_principal_part(self) -> bool:
-        return any(k < 0 for k, _ in self._stored())
-
-    def as_power_series(self) -> "PowerSeries":
-        if self.has_principal_part():
-            raise SeriesError("series has a nonzero principal part")
-        return _make({k: c for k, c in self._stored()}, self.order)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -300,7 +289,7 @@ class PowerSeries(LaurentSeries):
         super().__init__(0, coeffs, order)
 
 
-def _canonical(valuation, data: dict[int, CoeffPoly], order):
+def _canonical(data: dict[int, CoeffPoly], order):
     """Drop zeros and out-of-order entries, trim, and normalize the valuation."""
     keep = {k: c for k, c in data.items() if c and k <= order}
     if not keep:
@@ -312,7 +301,7 @@ def _canonical(valuation, data: dict[int, CoeffPoly], order):
 
 
 def _make(data: dict[int, CoeffPoly], order) -> LaurentSeries:
-    v, o, tup = _canonical(0, data, order)
+    v, o, tup = _canonical(data, order)
     cls = PowerSeries if v >= 0 else LaurentSeries
     obj = object.__new__(cls)
     obj.valuation = v
@@ -808,52 +797,12 @@ class BiSeries:
         return (self.nu, self.nv, self.vmin, self.exact, self.rows) == \
                (other.nu, other.nv, other.vmin, other.exact, other.rows)
 
-    def __add__(self, other):
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        nu = max(self.nu, other.nu) if (self.exact and other.exact) \
-            else min(self.nu if not self.exact else INF,
-                     other.nu if not other.exact else INF)
-        nv = max(self.nv, other.nv) if (self.exact and other.exact) \
-            else min(self.nv if not self.exact else INF,
-                     other.nv if not other.exact else INF)
-        nu = int(nu if nu is not INF else max(self.nu, other.nu))
-        nv = int(nv if nv is not INF else max(self.nv, other.nv))
-        vmin = min(self.vmin, other.vmin)
-        exact = self.exact and other.exact
-        rows = [[self._get0(i, j) + other._get0(i, j)
-                 for j in range(vmin, nv + 1)] for i in range(nu + 1)]
-        return BiSeries(rows, nu, nv, vmin, exact)
-
-    def _get0(self, i, j):
-        if i > self.nu or j > self.nv or j < self.vmin or i < 0:
-            return CoeffPoly.zero()
-        return self.rows[i][j - self.vmin]
-
-    def __neg__(self):
-        return BiSeries([[-c for c in r] for r in self.rows],
-                        self.nu, self.nv, self.vmin, self.exact)
-
-    def __sub__(self, other):
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        return self + (-other)
-
     def diagonal_sum(self, d: int) -> CoeffPoly:
         """Coefficient of t^d in the restriction to u = v = t."""
         s = CoeffPoly.zero()
         for i in range(0, d - self.vmin + 1):
             s = s + self.coefficient(i, d - i)
         return s
-
-    def render(self) -> str:
-        parts = []
-        for i in range(self.nu + 1):
-            for j in range(self.vmin, self.nv + 1):
-                cpoly = self._get0(i, j)
-                if cpoly:
-                    parts.append(f"u^{i}*v^{j}: {cpoly.render()}")
-        return "\n".join(parts) if parts else "0"
 
 
 def divided_difference(P: BiSeries) -> BiSeries:

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+from faberfields.faberkernel import EliminationError, faber_polys
 from faberfields.polyring import CoeffPoly
 from faberfields.series import (
     BiSeries,
@@ -92,3 +93,23 @@ def dense_grunsky_log(N: int, K: int) -> dict:
     L = unit_row_bi_log(dense_log_kernel(N, K))
     return {(n, k): L.coefficient(n, k) * (-n)
             for n in range(1, N + 1) for k in range(1, K + 1)}
+
+
+def horner_grunsky_compose(N: int, K: int) -> dict:
+    """Grunsky entries {(n, k): beta_{n,k}} as the z^k coefficients of
+    F_n(1/f(z)), each F_n evaluated by Horner's rule on the reciprocal
+    series 1/f, so every step is a dense series product.
+    """
+    fab = faber_polys(N)
+    h = laurent_recip(seed_series(K + N + 2))  # 1/f(z), valuation -1
+    entries = {}
+    for n in range(1, N + 1):
+        expansion = fab.poly(n).eval_at(h)
+        if expansion.coefficient(-n) != CoeffPoly.one():
+            raise EliminationError(n, -n, expansion.coefficient(-n) - 1)
+        for m in range(-n + 1, 1):
+            if expansion.coefficient(m):
+                raise EliminationError(n, m, expansion.coefficient(m))
+        for k in range(1, K + 1):
+            entries[(n, k)] = expansion.coefficient(k)
+    return entries

@@ -102,10 +102,11 @@ class TestCheck:
         assert "FAIL" in out
 
     def test_contour_suite(self, capsys):
-        code, out, _ = run(capsys, "check", "--suite", "contour", "--pmax", "2",
-                           "--M", "1024")
-        assert code == 0
-        assert "contour p=2" in out
+        for rho in ("--rho=1/2", "--rho=-1/2"):
+            code, out, _ = run(capsys, "check", "--suite", "contour", rho,
+                               "--pmax", "2", "--M", "1024")
+            assert code == 0
+            assert "contour p=2: ok" in out
 
     def test_all_gate_small_order(self, capsys):
         code, out, _ = run(capsys, "check", "--suite", "all", "--order", "2",
@@ -191,3 +192,15 @@ class TestUsage:
         assert code == 0
         parsed = json.loads(target.read_text())
         assert "F" in parsed
+
+    @pytest.mark.parametrize("argv", [
+        ("faber", "--n", "2"),
+        ("check", "--suite", "recursion", "--pmax", "1"),
+    ])
+    def test_unwritable_output_is_an_error(self, tmp_path, capsys, argv):
+        target = tmp_path / "missing" / "out.txt"
+        code = main([*argv, "--output", str(target)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not target.exists()

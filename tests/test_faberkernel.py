@@ -38,7 +38,7 @@ from faberfields.series import (
     series_agree,
 )
 
-from .oracles import dense_grunsky_log
+from .oracles import dense_grunsky_log, horner_grunsky_compose
 
 c1, c2, c3 = c(1), c(2), c(3)
 one = CoeffPoly.one()
@@ -167,6 +167,25 @@ class TestGrunsky:
                                       (4, 4), (6, 6), (8, 8), (3, 9), (9, 3)])
     def test_matches_dense_oracle(self, N, K):
         assert grunsky_log(N, K).entries == dense_grunsky_log(N, K)
+
+    @pytest.mark.parametrize("N, K", [(1, 1), (1, 8), (8, 1), (4, 4), (8, 8),
+                                      (3, 9), (9, 3)])
+    def test_compose_matches_horner_oracle(self, N, K):
+        assert grunsky_compose(N, K).entries == horner_grunsky_compose(N, K)
+
+    def test_compose_avoids_reciprocal_and_horner(self, monkeypatch):
+        # The compose route reads F_n(1/f) off kernel powers f^-m; the
+        # reciprocal series and Horner evaluation stay with the oracle.
+        faber_polys(3)  # its generating series divides by f, before the patch
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the compose route reached a reciprocal or Horner step")
+
+        monkeypatch.setattr(faberkernel, "laurent_recip", refuse)
+        monkeypatch.setattr(series, "laurent_recip", refuse)
+        monkeypatch.setattr(WPoly, "eval_at", refuse)
+        table = grunsky_compose.__wrapped__(3, 3)
+        assert table.beta(1, 1) == c1 * c1 - c2
 
     def test_log_route_avoids_reciprocal_and_power_kernels(self, monkeypatch):
         # grunsky_compose and the power ladders stand on these; the log route

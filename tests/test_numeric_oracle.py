@@ -66,12 +66,15 @@ class TestContour:
         assert rep.ok
 
     def test_koebe_all_p(self):
-        seed = koebe_seed(Fraction(1, 2))
-        for p in range(5):
-            rep = contour_check(seed, p, 0.3, 0.6, 4096)
-            assert rep.status == "ok"
-            assert rep.gap <= 1e-9
-            assert rep.self_gap <= 1e-11
+        # z/(1 - rho z)^2 is univalent for |z| < 1/|rho| = 2, either sign.
+        for rho in (Fraction(1, 2), Fraction(-1, 2)):
+            seed = koebe_seed(rho)
+            assert seed.univalence_radius == 2.0
+            for p in range(5):
+                rep = contour_check(seed, p, 0.3, 0.6, 4096)
+                assert rep.status == "ok"
+                assert rep.gap <= 1e-9
+                assert rep.self_gap <= 1e-11
 
     def test_p0_reproduces_weight_zero_field(self):
         # p = 0: the integral equals z f'(z) - f(z) at the seed.
