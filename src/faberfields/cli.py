@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -61,6 +62,11 @@ def _numeric_seed(args):
     if name == "random":
         return random_seed(args.rand_seed, bound=args.bound)
     raise UsageError(f"unknown seed preset '{name}'")
+
+
+def _complex_value(text: str) -> complex:
+    """A point given as a complex literal (0.3, -0.2+0.1j) or a rational (-1/5)."""
+    return complex(Fraction(text)) if "/" in text else complex(text)
 
 
 def _format_value(v) -> str:
@@ -290,7 +296,7 @@ def _cmd_eval(args):
         else:
             _emit(_specialized_marker_text(entry, values, var), args.output)
         return 0
-    at = complex(args.at)
+    at = _complex_value(args.at)
     total = 0j
     items = enumerate(entry.coeffs) if isinstance(entry, WPoly) \
         else entry.entries.items()
@@ -334,7 +340,7 @@ def _cmd_check(args):
         seed = koebe_seed(Fraction(str(args.rho)))
         for p in range(0, (args.pmax if args.pmax is not None else 4) + 1):
             contour_reports.append(
-                contour_check(seed, p, complex(args.z), args.r, args.M))
+                contour_check(seed, p, _complex_value(args.z), args.r, args.M))
     if include_sweep:
         pairs = suites.collect_pairs(order=args.order, **overrides)
         reports.append(numeric_identity_sweep(pairs, draws=args.draws))
@@ -423,7 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--pmax", type=int, default=None)
     p.add_argument("--draws", type=int, default=10)
-    p.add_argument("--z", type=str, default="0.3")
+    p.add_argument("--z", type=str, default="0.3",
+                   help="contour check point (complex, e.g. 0.3 or -0.2+0.1j, "
+                        "or rational, e.g. -1/5)")
     p.add_argument("--r", type=float, default=0.6)
     p.add_argument("--M", type=int, default=4096)
     add_common(p)
@@ -434,17 +442,41 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["faber", "tpoly", "lambda", "diag"])
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--at", type=str, default=None,
-                   help="also evaluate the marker variable at this complex point")
+                   help="also evaluate the marker variable at this point "
+                        "(complex, e.g. 0.3 or -0.2+0.1j, or rational, e.g. -1/5)")
     add_common(p)
     p.set_defaults(func=_cmd_eval)
 
     return parser
 
 
+#: Options that take a number which may be negative: ``--rho`` (a rational
+#: such as -1/2), ``--at`` and ``--z`` (complex, such as -0.2+0.1j).
+SIGNED_VALUE_OPTIONS = ("--rho", "--at", "--z")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Write ``--rho -1/2`` as ``--rho=-1/2``.
+
+    argparse reads a token that starts with "-" as an option unless it is a
+    plain decimal such as -1 or -0.5, so a negative fraction or complex
+    number given after a space would be missing its value.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in SIGNED_VALUE_OPTIONS and re.match(r"-[\d.]", tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_signed_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -16,11 +16,12 @@ where Lambda_p(z) is the eliminator Laurent polynomial read at the series
 variable.
 
 g comes from :func:`~faberfields.series.ps_reversion` (Lagrange inversion,
-checked by composing back to z).  Its other powers are read off the powers
-(f/w)^(-m) of the seed by the Lagrange-Burmann formula, each power taken by
-Miller's recurrence (``series.unit_pow``), so no power of g costs a product
-of two dense series; ``unique_elimination_pairs`` keeps ``laurent_pow`` as
-an independent route.
+checked by composing back to z as g(f(z)) = z, a sum of g_m f^m in which
+each f^m is a product with the seed).  Its other powers are read off the
+powers (f/w)^(-m) of the seed by the Lagrange-Burmann formula, each power
+taken by Miller's recurrence (``series.unit_pow``), so no power of g costs a
+product of two dense series; ``unique_elimination_pairs`` keeps
+``laurent_pow`` as an independent route.
 
 Laurent products that mix a z^{1-p} principal part with power series are
 carried with enough internal margin that conclusions at the requested order

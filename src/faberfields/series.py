@@ -479,7 +479,15 @@ def ps_log(a: LaurentSeries) -> LaurentSeries:
 
 
 def ps_compose(outer: LaurentSeries, inner: LaurentSeries) -> LaurentSeries:
-    """outer(inner) for inner with zero constant term, by Horner evaluation."""
+    """outer(inner) for inner with zero constant term, as sum_k outer_k inner^k.
+
+    With inner starting at z^q, the result is known through
+    ``target = min(inner.order, (outer.order + 1) q - 1)``.  Each power is
+    ``inner^(k-1) * inner`` cut at ``target``, and the sum stops at the first
+    power that is zero through ``target``; when inner has single-monomial
+    coefficients, as the seed does, every power product is dense x monomial.
+    Each ``outer_k [z^j] inner^k`` goes into one accumulator per z^j.
+    """
     if outer.valuation < 0:
         raise SeriesError("composition target must have no principal part")
     if inner.valuation < 0 or inner.coefficient(0):
@@ -489,19 +497,30 @@ def ps_compose(outer: LaurentSeries, inner: LaurentSeries) -> LaurentSeries:
         target = INF if outer.order is INF else inner.order
     else:
         target = min(inner.order, (outer.order + 1) * q - 1)
-    top = outer.valuation + len(outer.coeffs) - 1 if outer.coeffs else 0
-    acc: LaurentSeries = zero_series(INF)
-    for k in range(top, -1, -1):
-        acc = acc * inner + outer.coefficient(k)
-    return acc.truncate(target)
+    buckets: dict[int, dict] = {}
+    power: LaurentSeries = const_series(1)  # inner^k
+    k = 0
+    for m, c in outer._stored():
+        while k < m and not power.is_zero():
+            power = (power * inner).truncate(target)
+            k += 1
+        if power.is_zero():
+            break
+        for j, p in power._stored():
+            accumulate_product(buckets.setdefault(j, {}), c, p)
+    return _make({j: poly_from_bucket(b) for j, b in buckets.items()}, target)
 
 
 def ps_reversion(a: LaurentSeries) -> LaurentSeries:
     """Compositional inverse g of a = z + ..., with a(g(z)) = g(a(z)) = z.
 
     Lagrange inversion, g_m = (1/m) [w^(m-1)] (a/w)^(-m), each power by the
-    :func:`unit_pow` kernel; g is known through ``a.order``.  The result must
-    satisfy a(g(z)) = z, which is checked by composition.
+    :func:`unit_pow` kernel; g is known through ``a.order``.  The result is
+    checked by composing back: g(a(z)) = z, which for a series z + ... is the
+    same exact statement as a(g(z)) = z, since a left inverse is also a right
+    inverse.  With a as the inner series, every power a^k in
+    :func:`ps_compose` is a product with a, which for the seed has
+    single-monomial coefficients.
     """
     if a.effective_valuation() != 1 or a.coefficient(1) != CoeffPoly.one() \
             or a.coefficient(0):
@@ -513,7 +532,7 @@ def ps_reversion(a: LaurentSeries) -> LaurentSeries:
     h = a.shift(-1)
     g = _make({m: poly_div_int(unit_pow(h.truncate(m - 1), -m).coefficient(m - 1), m)
                for m in range(1, n + 1)}, n)
-    if not (ps_compose(a, g) - z_series()).is_zero():
+    if not (ps_compose(g, a) - z_series()).is_zero():
         raise SeriesError("reversion failed its composition self-check")
     return g
 
@@ -605,11 +624,8 @@ class WPoly:
         return WPoly([c * k for k, c in enumerate(self.coeffs)][1:])
 
     def eval_at(self, x: LaurentSeries) -> LaurentSeries:
-        """Substitute a series for w (Horner in the series ring)."""
-        acc: LaurentSeries = zero_series(INF)
-        for k in range(self.degree, -1, -1):
-            acc = acc * x + self.coefficient(k)
-        return acc
+        """Substitute a series for w, as :meth:`LaurentWPoly.eval_at` does."""
+        return LaurentWPoly(dict(enumerate(self.coeffs))).eval_at(x)
 
     def reciprocal_substitute(self) -> "LaurentWPoly":
         """Substitute w -> 1/u: degree d maps to exponent range -d..0."""

@@ -6,16 +6,41 @@ from fractions import Fraction
 from faberfields.faberkernel import EliminationError, faber_polys
 from faberfields.polyring import CoeffPoly
 from faberfields.series import (
+    INF,
     BiSeries,
     LaurentSeries,
     SeriesError,
     divided_difference,
     laurent_recip,
-    ps_compose,
     ps_div,
     seed_series,
     z_series,
+    zero_series,
 )
+
+
+def horner(coeffs, x: LaurentSeries) -> LaurentSeries:
+    """sum_k coeffs[k] x^k by Horner's rule, acc <- acc * x + coeffs[k], so
+    every step is a full product of two series."""
+    acc: LaurentSeries = zero_series(INF)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def horner_compose(outer: LaurentSeries, inner: LaurentSeries) -> LaurentSeries:
+    """outer(inner) by Horner's rule, cut at the order ``ps_compose`` states."""
+    if outer.valuation < 0:
+        raise SeriesError("composition target must have no principal part")
+    if inner.valuation < 0 or inner.coefficient(0):
+        raise SeriesError("inner series must have zero constant term")
+    q = inner.effective_valuation()
+    if q is INF:
+        target = INF if outer.order is INF else inner.order
+    else:
+        target = min(inner.order, (outer.order + 1) * q - 1)
+    top = outer.valuation + len(outer.coeffs) - 1 if outer.coeffs else 0
+    return horner([outer.coefficient(k) for k in range(top + 1)], inner).truncate(target)
 
 
 def newton_reversion(a: LaurentSeries) -> LaurentSeries:
@@ -28,10 +53,10 @@ def newton_reversion(a: LaurentSeries) -> LaurentSeries:
     g = ident
     da = a.derivative()
     for _ in range(max(1, math.ceil(math.log2(n)) + 1)):
-        err = ps_compose(a, g.truncate(n)) - ident
+        err = horner_compose(a, g.truncate(n)) - ident
         if err.is_zero():
             break
-        g = g - ps_div(err, ps_compose(da, g.truncate(n)))
+        g = g - ps_div(err, horner_compose(da, g.truncate(n)))
     return g.truncate(n)
 
 
@@ -104,7 +129,7 @@ def horner_grunsky_compose(N: int, K: int) -> dict:
     h = laurent_recip(seed_series(K + N + 2))  # 1/f(z), valuation -1
     entries = {}
     for n in range(1, N + 1):
-        expansion = fab.poly(n).eval_at(h)
+        expansion = horner(fab.poly(n).coeffs, h)
         if expansion.coefficient(-n) != CoeffPoly.one():
             raise EliminationError(n, -n, expansion.coefficient(-n) - 1)
         for m in range(-n + 1, 1):

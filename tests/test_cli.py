@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -204,3 +208,41 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not target.exists()
+
+
+class TestSignedValues:
+    """A value starting with "-" after a space reads like the "=" form."""
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (("check", "--suite", "contour", "--pmax", "2", "--M", "1024"), "--rho", "-1/2"),
+        (("diag", "--p", "2", "--seed", "koebe"), "--rho", "-1/2"),
+        (("check", "--suite", "contour", "--pmax", "1", "--M", "512"), "--z", "-0.2+0.1j"),
+        (("eval", "--family", "faber", "--index", "2", "--seed", "zero"), "--at", "-1/5"),
+        (("eval", "--family", "faber", "--index", "2", "--seed", "zero"), "--at", "-0.2+0.1j"),
+        (("eval", "--family", "lambda", "--index", "2", "--seed", "koebe",
+          "--rho", "-1/2"), "--at", "-0.3"),
+    ])
+    def test_space_matches_equals_form(self, capsys, argv, flag, value):
+        code, out, err = run(capsys, *argv, flag, value)
+        want_code, want, _ = run(capsys, *argv, f"{flag}={value}")
+        assert (code, err) == (0, "")
+        assert want_code == 0
+        assert out == want
+
+    def test_rational_point(self, capsys):
+        # F_2 = w^2 under the zero seed; -1/5 is the point -0.2.
+        code, out, _ = run(capsys, "eval", "--family", "faber", "--index", "2",
+                           "--seed", "zero", "--at", "-1/5")
+        assert code == 0
+        assert complex(out.strip()) == complex(-0.2) ** 2
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "faberfields", "check", "--suite", "recursion", "--pmax", "2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "overall: PASS" in proc.stdout

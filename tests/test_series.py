@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faberfields import polyring, series
 from faberfields.polyring import CoeffPoly, c
 from faberfields.series import (
     INF,
@@ -38,7 +39,7 @@ from faberfields.series import (
     zero_series,
 )
 
-from .oracles import dense_log_kernel, newton_reversion, unit_row_bi_log
+from .oracles import dense_log_kernel, horner_compose, newton_reversion, unit_row_bi_log
 from .strategies import (
     integral_unit_series,
     power_series,
@@ -207,6 +208,23 @@ class TestLog:
         assert series_agree(lhs, rhs, through=min(lhs.order, rhs.order)) is None
 
 
+exact_power_series = st.lists(small_coeff_polys, min_size=0, max_size=4).map(
+    lambda cs: PowerSeries(cs, order=INF))
+
+
+@st.composite
+def compose_inners(draw):
+    """Series with zero constant term: valuation 1 or 2, truncated at or
+    past their last drawn term or exact; an empty tail gives the zero series
+    known through some z^n or exactly."""
+    valuation = draw(st.integers(min_value=1, max_value=2))
+    tail = draw(st.lists(small_coeff_polys, min_size=0, max_size=3))
+    coeffs = [zero] * valuation + tail
+    if draw(st.booleans()):
+        return PowerSeries(coeffs, order=INF)
+    return PowerSeries(coeffs, order=len(coeffs) - 1 + draw(st.integers(0, 3)))
+
+
 class TestCompose:
     def test_square_outer(self):
         f = seed_series(4)
@@ -231,6 +249,30 @@ class TestCompose:
         with pytest.raises(SeriesError):
             ps_compose(seed_series(3), PowerSeries([1, 1], order=3))
 
+    @pytest.mark.parametrize("outer, inner", [
+        (seed_series(5), PowerSeries([0, 0, c1, c2], order=6)),  # valuation 2
+        (PowerSeries([1, c1, c2], order=INF), seed_series(4)),  # exact outer
+        (PowerSeries([1, c1, c2], order=INF), PowerSeries([0, 1, c3], order=INF)),
+        (seed_series(5), zero_series(3)),  # zero inner known through z^3
+        (PowerSeries([c2, c1], order=INF), zero_series(INF)),
+        (seed_series(6), seed_series(3)),  # outer.order above inner.order
+        (seed_series(2), seed_series(6)),  # outer.order below inner.order
+        (seed_series(3), PowerSeries([0, 0, c1], order=INF)),
+    ])
+    def test_matches_horner_oracle(self, outer, inner):
+        got = ps_compose(outer, inner)
+        want = horner_compose(outer, inner)
+        assert got.order == want.order
+        assert got == want
+
+    @given(st.one_of(power_series, exact_power_series), compose_inners())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_horner_oracle_random(self, outer, inner):
+        got = ps_compose(outer, inner)
+        want = horner_compose(outer, inner)
+        assert got.order == want.order
+        assert got == want
+
 
 class TestReversion:
     def test_identity(self):
@@ -253,6 +295,36 @@ class TestReversion:
         g = ps_reversion(f)
         assert series_agree(ps_compose(f, g), z_series(), through=6) is None
         assert series_agree(ps_compose(g, f), z_series(), through=6) is None
+
+    @pytest.mark.parametrize("m", [2, 7, 10])
+    def test_corrupted_coefficient_fails_self_check(self, monkeypatch, m):
+        # ps_reversion divides [w^(m-1)] (a/w)^(-m) by m without the exact
+        # flag; unit_pow's own divisions on the seed set it.
+        orig = series.poly_div_int
+
+        def corrupt(a, n, exact=False):
+            out = orig(a, n, exact)
+            return out + c1 if n == m and not exact else out
+
+        monkeypatch.setattr(series, "poly_div_int", corrupt)
+        with pytest.raises(SeriesError, match="composition self-check"):
+            ps_reversion(seed_series(10))
+
+    def test_mono_mul_count_on_seed(self, monkeypatch):
+        # The self-check g(f) = z takes each f^k as f^(k-1) * f, a product
+        # with single monomials; checking f(g) = z by Horner's rule made
+        # 266,171 monomial products here.
+        calls = 0
+        orig = polyring.mono_mul
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return orig(a, b)
+
+        monkeypatch.setattr(polyring, "mono_mul", counting)
+        ps_reversion(seed_series(16))
+        assert 0 < calls <= 30_000
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(SeriesError):
