@@ -16,7 +16,10 @@ coefficient ring:
 
 Every power f^e of the seed, of either sign, comes from one kernel
 (``_f_power``, Miller's recurrence on f/z), and Lambda_p(f) and F_n(1/f) are
-each one sum sum_e c_e f^e over a table of those powers (``_eval_on_powers``).
+each one sum sum_e c_e f^e over a table of those powers (``_eval_on_powers``),
+accumulated coefficient by coefficient only through the highest power of z
+that is read.  The elimination series E_p are keyed by that power, not by a
+seed order, so every caller builds exactly what it reads.
 Where two formulas exist for the same object, both are implemented and their
 exact equality is a checked property; no family trusts another family's
 route.  Builders compute the seed truncation order they need, and the series
@@ -29,21 +32,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .polyring import CoeffPoly
+from .polyring import CoeffPoly, accumulate_product, poly_from_bucket
 from .reports import CheckReport, IdentityPair, report_from_pairs, series_pairs
 from .series import (
     BiSeries,
     LaurentSeries,
     LaurentWPoly,
+    OrderError,
     PowerSeries,
     WPoly,
+    _make,
     bi_log_in_u,
     divided_difference,
     laurent_pow,
     laurent_recip,
     seed_series,
     unit_pow,
-    zero_series,
 )
 
 
@@ -90,12 +94,29 @@ def _f_power(order: int, e: int) -> LaurentSeries:
     return unit_pow(_seed(order).shift(-1), e).shift(e)
 
 
-def _eval_on_powers(poly: LaurentWPoly, pows: dict) -> LaurentSeries:
-    """poly(f) = sum_e poly[e] f^e over a table {e: f^e} of kernel powers."""
-    out = zero_series()
-    for e, coeff in poly.entries.items():
-        out = out + pows[e].scale(coeff)
-    return out
+def _eval_on_powers(poly: LaurentWPoly, pows: dict, top: int,
+                    base: LaurentSeries | None = None) -> LaurentSeries:
+    """base + poly(f) = base + sum_e poly[e] f^e through z^top, over a table
+    {e: f^e} of kernel powers.
+
+    Each power z^m read is one accumulation bucket, into which every term
+    adds (f^e)[m] * poly[e] (and ``base`` its own z^m coefficient), so no
+    series is built per term and nothing past z^top is multiplied.  Every
+    series summed must be known through z^top; the result has order top.
+    """
+    terms = [(pows[e], coeff) for e, coeff in poly.entries.items()]
+    if base is not None:
+        terms.append((base, CoeffPoly.one()))
+    buckets: dict[int, dict] = {}
+    for series, coeff in terms:
+        if series.order < top:
+            raise OrderError(top, series.order)
+        for m, cm in enumerate(series.coeffs, series.valuation):
+            if m > top:
+                break
+            if cm:
+                accumulate_product(buckets.setdefault(m, {}), cm, coeff)
+    return _make({m: poly_from_bucket(b) for m, b in buckets.items()}, top)
 
 
 # -- family containers ------------------------------------------------------------
@@ -320,7 +341,7 @@ def grunsky_compose(N: int, K: int) -> GrunskyTable:
     pows = {-m: _f_power(K + m + 1, -m) for m in range(N + 1)}
     entries = {}
     for n in range(1, N + 1):
-        expansion = _eval_on_powers(fab.poly(n).reciprocal_substitute(), pows)
+        expansion = _eval_on_powers(fab.poly(n).reciprocal_substitute(), pows, K)
         if expansion.coefficient(-n) != CoeffPoly.one():
             raise EliminationError(n, -n, expansion.coefficient(-n) - 1)
         for m in range(-n + 1, 1):
@@ -385,23 +406,29 @@ def phi_p(p: int, N: int) -> LaurentSeries:
 
 
 @lru_cache(maxsize=None)
-def _elimination_family(P: int, f_order: int) -> tuple:
-    """E_p = z^(1-p) f'(z) + Lambda_p(f(z)) for p = 0..P, with f through z^f_order.
+def _elimination_family(P: int, top: int) -> tuple:
+    """E_p = z^(1-p) f'(z) + Lambda_p(f(z)) for p = 0..P, each exact through z^top.
 
-    Every Lambda_p(f) is one ``_eval_on_powers`` sum over a shared table of
-    powers f^e, e = 1-P..1, each one run of the power kernel on f/z, so no
-    power costs a dense product of two series.
+    The key is the highest power of z the caller reads, and every E_p has
+    ``.order == top``.  Each power f^e, e = 1-P..1, is one run of the power
+    kernel on f/z at seed order top + 1 - e (at least 1), so it is known
+    exactly through z^top and no further, and no power costs a dense product
+    of two series.  Each E_p is one ``_eval_on_powers`` sum over that shared
+    table, with z^(1-p) f'(z) added into the same buckets.
     """
-    fprime = _seed(f_order).derivative()
+    fprime = _seed(max(top + P, 1)).derivative()
     lams = lambda_direct(P)
-    pows = {e: _f_power(f_order, e) for e in range(1 - P, 2)}
-    return tuple(fprime.shift(1 - p) + _eval_on_powers(lams.poly(p), pows)
+    pows = {e: _f_power(max(top + 1 - e, 1), e) for e in range(1 - P, 2)}
+    return tuple(_eval_on_powers(lams.poly(p), pows, top, fprime.shift(1 - p))
                  for p in range(P + 1))
 
 
 def elimination_series(p: int, f_order: int) -> LaurentSeries:
-    """z^(1-p) f'(z) + Lambda_p(f(z)), determined through z^(f_order - p)."""
-    return _elimination_family(p, f_order)[p]
+    """z^(1-p) f'(z) + Lambda_p(f(z)) with f through z^f_order, so determined
+    through z^(f_order - p); it is all zero when f_order <= p."""
+    if f_order < 1:
+        raise ValueError("seed order must be >= 1")
+    return _elimination_family(p, f_order - p)[p]
 
 
 @lru_cache(maxsize=None)
@@ -413,7 +440,7 @@ def a_field_direct(P: int, N: int) -> AFieldTable:
     """
     if P < 0 or N < 1:
         raise ValueError("need P >= 0 and N >= 1")
-    family = _elimination_family(P, N + 1 + P)
+    family = _elimination_family(P, N + 1)
     a_entries = {}
     for p in range(P + 1):
         e = family[p]
@@ -558,10 +585,12 @@ def route_equivalence_pairs(grunsky_n: int = 10, t_n: int = 10, diag_p: int = 10
 def elimination_pairs(pmax: int):
     """For each p, z^(1-p) f'(z) + Lambda_p(f(z)) has no power z^m with m <= 1.
 
-    Every E_p is read off one family at seed order 2 pmax + 10.
+    Every E_p comes from one family built only through z^1, where a correct
+    E_p is all zero; counting from its effective valuation (not the 0 an
+    all-zero series reports) keeps its cells at z^(1-p) .. z^1.
     """
-    for p, e in enumerate(_elimination_family(pmax, 2 * pmax + 10)):
-        for m in range(min(e.valuation, 1 - p), 2):
+    for p, e in enumerate(_elimination_family(pmax, 1)):
+        for m in range(min(e.effective_valuation(), 1 - p), 2):
             yield IdentityPair("elimination", (("p", p), ("m", m)),
                                e.coefficient(m), CoeffPoly.zero())
 
@@ -579,7 +608,7 @@ def _gen_identity_rows(P: int, K: int):
     1/(f(u) - f(v)) in powers of f(u) / f(v) makes it
     (Lambda_p(f(v)) + v^(1-p) f'(v)) / v = E_p(v) / v.
     """
-    return [e.shift(-1).truncate(K) for e in _elimination_family(P, K + P + 2)]
+    return [e.shift(-1) for e in _elimination_family(P, K + 1)]
 
 
 def gen_identity_pairs(pmax: int, kmax: int):
@@ -610,10 +639,9 @@ def _phi_generating_rows(xi_max: int, z_max: int):
 
     Row p is Lambda_p(f(z)) = E_p(z) - z^(1-p) f'(z).
     """
-    f_order = z_max + xi_max + 2
-    fprime = _seed(f_order).derivative()
-    return [(e - fprime.shift(1 - p)).truncate(z_max)
-            for p, e in enumerate(_elimination_family(xi_max, f_order))]
+    fprime = _seed(z_max + xi_max).derivative()
+    return [e - fprime.shift(1 - p)
+            for p, e in enumerate(_elimination_family(xi_max, z_max))]
 
 
 def phi_generating_pairs(xi_max: int, z_max: int):

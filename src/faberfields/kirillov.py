@@ -142,18 +142,19 @@ def negative_action_pairs(pmax: int, N: int | None = None, pmin: int = 1,
 
     for pmin <= p <= pmax, one pair per power z^m.  The single comparison
     order N (default 2 pmax + 10, so at least 2p + 10 for every p) lets all
-    indices share one eliminator family and one A table, which may be passed
-    in if it covers (pmax, N-1).
+    indices share one eliminator family, read through z^N, and one A table,
+    which may be passed in if it covers (pmax, N-1).  The default table
+    a_field_direct(pmax, N-1) reads the same cached family.
     """
     if N is None:
         N = 2 * pmax + 10
     if table is None:
         table = a_field_direct(pmax, max(N - 1, 1))
-    family = _elimination_family(pmax, N + pmax)
+    family = _elimination_family(pmax, N)
     f = seed_series(N)
     for p in range(pmin, pmax + 1):
         yield from series_pairs("negative-action", (("p", p), ("N", N)),
-                                make_L(-p, table).apply(f), family[p].truncate(N), N)
+                                make_L(-p, table).apply(f), family[p], N)
 
 
 def check_negative_action(p: int, N: int, table: AFieldTable | None = None) -> CheckReport:

@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .faberkernel import lambda_direct
+from .polyring import mono_values
 from .reports import CheckCell, CheckReport, IdentityPair
 
 
@@ -213,23 +214,27 @@ def numeric_identity_sweep(pairs: Iterable[IdentityPair], draws: int = 25,
     Any specialization is valid because both sides are polynomials in the
     seed coefficients; each draw/suite cell passes when every pair of that
     suite holds within the relative tolerance.
+
+    Each draw fills one table with the value of every distinct monomial of
+    all pairs, once, and sums each side over its own terms from that table
+    (``CoeffPoly.evaluate``), which is exactly ``specialize`` at that draw.
     """
     pairs = list(pairs)
-    nmax = 0
-    for pair in pairs:
-        for poly in (pair.lhs, pair.rhs):
-            nmax = max(nmax, poly.max_variable())
+    monos: set = set()
     by_suite: dict[str, list[IdentityPair]] = {}
     for pair in pairs:
+        monos.update(pair.lhs.terms, pair.rhs.terms)
         by_suite.setdefault(pair.suite, []).append(pair)
+    nmax = max((m[-1][0] for m in monos if m), default=0)
     cells: list[CheckCell] = []
     for d in range(draws):
         seed = random_seed(rng_seed + d, bound=bound, nmax=max(nmax, 1))
-        values = seed.coeff_map(max(nmax, 1))
+        table = mono_values(monos, seed.coeff_map(max(nmax, 1)))
         for suite_name in sorted(by_suite):
             detail = ""
             for pair in by_suite[suite_name]:
-                ok, rel = specialize_pair(pair, values, tol)
+                ok, rel = _relative_ok(complex(pair.lhs.evaluate(table)),
+                                       complex(pair.rhs.evaluate(table)), tol)
                 if not ok:
                     detail = f"{pair.label()} off by relative {rel:.3e} at {seed.name}"
                     break

@@ -125,6 +125,27 @@ def mono_key(m: Monomial):
     return (w, tuple(dense))
 
 
+def mono_values(monos: Iterable[Monomial], values: Mapping[int, object]) -> dict:
+    """{m: value of m at c_j = values[j]} for each monomial, the factors
+    values[j] ** e multiplied in index order; the constant monomial maps to
+    None, so that :meth:`CoeffPoly.evaluate` keeps its coefficient exact.
+
+    Raises MissingVariableError naming the first absent index.
+    """
+    table = {}
+    for m in monos:
+        term = None
+        for j, e in m:
+            try:
+                v = values[j]
+            except KeyError:
+                raise MissingVariableError(j) from None
+            p = v ** e
+            term = p if term is None else term * p
+        table[m] = term
+    return table
+
+
 def mono_render(m: Monomial) -> str:
     if not m:
         return "1"
@@ -363,16 +384,19 @@ class CoeffPoly:
         term product last, so no precision is spent before it is needed.
         Raises MissingVariableError naming the first absent index.
         """
+        return self.evaluate(mono_values(self._terms, values))
+
+    def evaluate(self, table: Mapping[Monomial, object]):
+        """sum q * table[m] over the terms, in term order, where ``table``
+        holds the value of each monomial (:func:`mono_values`).
+
+        The constant term adds its exact coefficient, and the zero
+        polynomial is Fraction(0), so this is ``specialize`` for a table
+        filled once and shared by many polynomials.
+        """
         total = None
         for m, q in self._terms.items():
-            term = None
-            for j, e in m:
-                try:
-                    v = values[j]
-                except KeyError:
-                    raise MissingVariableError(j) from None
-                p = v ** e
-                term = p if term is None else term * p
+            term = table[m]
             contrib = q if term is None else q * term
             total = contrib if total is None else total + contrib
         if total is None:

@@ -3,8 +3,8 @@
 import math
 from fractions import Fraction
 
-from faberfields.faberkernel import EliminationError, faber_polys
-from faberfields.polyring import CoeffPoly
+from faberfields.faberkernel import EliminationError, _f_power, faber_polys, lambda_direct
+from faberfields.polyring import CoeffPoly, MissingVariableError
 from faberfields.series import (
     INF,
     BiSeries,
@@ -138,3 +138,39 @@ def horner_grunsky_compose(N: int, K: int) -> dict:
         for k in range(1, K + 1):
             entries[(n, k)] = expansion.coefficient(k)
     return entries
+
+
+def scale_add_eval(poly, pows: dict) -> LaurentSeries:
+    """poly(f) = sum_e poly[e] f^e over a table {e: f^e}, one scaled series
+    and one series sum per term, known as far as every power is."""
+    out = zero_series()
+    for e, coeff in poly.entries.items():
+        out = out + pows[e].scale(coeff)
+    return out
+
+
+def seed_order_elimination_family(P: int, f_order: int) -> tuple:
+    """E_p = z^(1-p) f'(z) + Lambda_p(f(z)) for p = 0..P with f through
+    z^f_order, each power f^e taken at that seed order and summed by
+    ``scale_add_eval``; E_p is then known through z^(f_order - p)."""
+    fprime = seed_series(f_order).derivative()
+    lams = lambda_direct(P)
+    pows = {e: _f_power(f_order, e) for e in range(1 - P, 2)}
+    return tuple(fprime.shift(1 - p) + scale_add_eval(lams.poly(p), pows)
+                 for p in range(P + 1))
+
+
+def termwise_specialize(poly: CoeffPoly, values):
+    """poly at c_j = values[j], each term's factors multiplied as it is
+    summed, with no table of monomial values."""
+    total = None
+    for m, q in poly.terms.items():
+        term = None
+        for j, e in m:
+            if j not in values:
+                raise MissingVariableError(j)
+            p = values[j] ** e
+            term = p if term is None else term * p
+        contrib = q if term is None else q * term
+        total = contrib if total is None else total + contrib
+    return Fraction(0) if total is None else total

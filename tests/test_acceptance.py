@@ -163,7 +163,7 @@ def test_criterion_04_elimination(capsys):
     elapsed = time.perf_counter() - t0
     _report(capsys, 4, report.passed,
             "elimination: no z^m, m <= 1, in z^(1-p) f' + Lambda_p(f), "
-            "p <= 8 at seed order 26", elapsed)
+            "p <= 8, read through z^1", elapsed)
 
 
 def test_criterion_05_ladder_action(capsys):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from faberfields import faberkernel, series
 from faberfields.faberkernel import (
     _elimination_family,
+    _eval_on_powers,
     _f_power,
     _seed,
     a_field_direct,
@@ -12,6 +13,7 @@ from faberfields.faberkernel import (
     diag_a,
     diag_a_grunsky,
     elimination_check,
+    elimination_pairs,
     elimination_series,
     faber_derivative_identity_check,
     faber_polys,
@@ -38,7 +40,12 @@ from faberfields.series import (
     series_agree,
 )
 
-from .oracles import dense_grunsky_log, horner_grunsky_compose
+from .oracles import (
+    dense_grunsky_log,
+    horner_grunsky_compose,
+    scale_add_eval,
+    seed_order_elimination_family,
+)
 
 c1, c2, c3 = c(1), c(2), c(3)
 one = CoeffPoly.one()
@@ -341,18 +348,84 @@ class TestSeedPowers:
         want = laurent_pow(_seed(order), e) if e else const_series(1).truncate(order - 1)
         assert _f_power(order, e) == want
 
-    @pytest.mark.parametrize("P, order", [(2, 6), (5, 12), (8, 18)])
-    def test_elimination_family_members(self, P, order):
-        # Every member rebuilt with f^e = laurent_pow(f, e) for e < 0.
-        f = _seed(order)
+    @pytest.mark.parametrize("P, top", [(0, 3), (2, 1), (2, 6), (5, 12), (8, 18)])
+    def test_elimination_family_members(self, P, top):
+        # Every member rebuilt with f^e = laurent_pow(f, e) for e < 0, each
+        # from the shortest seed that knows it through z^top.
+        f = _seed(top + P)
         lams = lambda_direct(P)
         pows = {0: const_series(1), 1: f}
-        pows.update((e, laurent_pow(f, e)) for e in range(-1, -P, -1))
-        for p, got in enumerate(_elimination_family(P, order)):
+        pows.update((e, laurent_pow(_seed(top + 1 - e), e)) for e in range(-1, -P, -1))
+        for p, got in enumerate(_elimination_family(P, top)):
             want = f.derivative().shift(1 - p)
             for e, coeff in lams.poly(p).entries.items():
-                want = want + pows[e].scale(coeff)
-            assert got == want, p
+                want = want + pows[e].truncate(top).scale(coeff)
+            assert got.order == top, p
+            assert got == want.truncate(top), p
+
+
+class TestEvalOnPowers:
+    @pytest.mark.parametrize("N, K", [(1, 1), (3, 4), (5, 6)])
+    def test_matches_scale_and_add(self, N, K):
+        # The bucket sum against one scaled series and one series sum per term.
+        pows = {-m: _f_power(K + m + 1, -m) for m in range(N + 1)}
+        for n in range(1, N + 1):
+            poly = faber_polys(N).poly(n).reciprocal_substitute()
+            want = scale_add_eval(poly, pows)
+            assert want.order == K
+            assert _eval_on_powers(poly, pows, K) == want
+
+    def test_base_joins_the_buckets(self):
+        P, top = 3, 7
+        f = _seed(top + P)
+        pows = {e: _f_power(top + 1 - e, e) for e in range(1 - P, 2)}
+        lam = lambda_direct(P).poly(P)
+        base = f.derivative().shift(1 - P)
+        want = (base + scale_add_eval(lam, pows)).truncate(top)
+        assert _eval_on_powers(lam, pows, top, base) == want
+
+    def test_short_power_raises(self):
+        pows = {-1: _f_power(4, -1)}  # known through z^2
+        with pytest.raises(series.OrderError):
+            _eval_on_powers(LaurentWPoly({-1: one}), pows, 3)
+
+    def test_stops_at_top(self):
+        pows = {1: _f_power(9, 1)}
+        got = _eval_on_powers(LaurentWPoly({1: c1}), pows, 4)
+        assert got.order == 4
+        assert got == _f_power(9, 1).scale(c1).truncate(4)
+
+
+class TestEliminationSeries:
+    @staticmethod
+    def _outcome(build):
+        try:
+            return build()
+        except Exception as exc:  # the error type is the outcome compared
+            return type(exc)
+
+    def test_matches_seed_order_family(self):
+        # Every cell p = 0..5, f_order = -1..8 gives what the family keyed by
+        # seed order gives, or the same error; cells with f_order <= p are the
+        # all-zero series known through z^(f_order - p).
+        for p in range(6):
+            for f_order in range(-1, 9):
+                got = self._outcome(lambda: elimination_series(p, f_order))
+                want = self._outcome(
+                    lambda: seed_order_elimination_family(p, f_order)[p])
+                assert got == want, (p, f_order)
+                if f_order < 1:
+                    assert got is ValueError, (p, f_order)
+                else:
+                    assert got.order == f_order - p, (p, f_order)
+                    if f_order <= p:
+                        assert got.is_zero(), (p, f_order)
+
+    def test_elimination_cells_start_at_one_minus_p(self):
+        # E_0 read through z^1 is all zero; it adds only the cell m = 1.
+        cells = [dict(pair.indices) for pair in elimination_pairs(3)]
+        assert [(cell["p"], cell["m"]) for cell in cells] == \
+            [(p, m) for p in range(4) for m in range(1 - p, 2)]
 
 
 class TestGenIdentity:

@@ -1,6 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from faberfields import numeric_oracle
 
 from faberfields.numeric_oracle import (
     contour_check,
@@ -10,10 +14,23 @@ from faberfields.numeric_oracle import (
     specialize_pair,
     zero_seed,
 )
-from faberfields.polyring import CoeffPoly, c
+from faberfields.polyring import CoeffPoly, c, mono_values
 from faberfields.reports import IdentityPair
 from faberfields.series import seed_series
 from faberfields import suites
+
+from .oracles import termwise_specialize
+from .strategies import coeff_polys, rationals
+
+sweep_polys = st.one_of(st.just(CoeffPoly.zero()), rationals.map(CoeffPoly.const),
+                        coeff_polys)
+values4 = st.lists(st.complex_numbers(max_magnitude=3, allow_nan=False,
+                                      allow_infinity=False),
+                   min_size=4, max_size=4)
+
+
+def _bits(z: complex):
+    return z.real.hex(), z.imag.hex()
 
 
 class TestSeeds:
@@ -145,3 +162,28 @@ class TestSweep:
         pairs = suites.collect_pairs(order=3)
         rep = numeric_identity_sweep(pairs, draws=3)
         assert rep.passed
+
+    @given(st.lists(sweep_polys, min_size=1, max_size=4), values4)
+    @settings(max_examples=200, deadline=None)
+    def test_table_matches_specialize_bit_for_bit(self, polys, values):
+        # One table over the monomials of all polynomials, as a sweep draw
+        # fills it; zero, constant-only, Fraction-coefficient and random ones.
+        vals = dict(enumerate(values, 1))
+        table = mono_values({m: None for p in polys for m in p.terms}, vals)
+        for poly in polys:
+            got = _bits(complex(poly.evaluate(table)))
+            assert got == _bits(complex(poly.specialize(vals)))
+            assert got == _bits(complex(termwise_specialize(poly, vals)))
+
+    def test_one_table_per_draw(self, monkeypatch):
+        tables = []
+
+        def counted(monos, values):
+            tables.append(len(monos))
+            return mono_values(monos, values)
+
+        monkeypatch.setattr(numeric_oracle, "mono_values", counted)
+        pairs = suites.collect_pairs(order=2)
+        assert numeric_identity_sweep(pairs, draws=3).passed
+        distinct = {m for p in pairs for side in (p.lhs, p.rhs) for m in side.terms}
+        assert tables == [len(distinct)] * 3

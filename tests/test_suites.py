@@ -5,10 +5,11 @@ import os
 
 import pytest
 
-from faberfields import suites
+from faberfields import faberkernel, kirillov, suites
 from faberfields.cli import main
 from faberfields.polyring import CoeffPoly, c
 from faberfields.reports import IdentityPair, report_from_pairs
+from faberfields.series import INF, PowerSeries
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -31,6 +32,39 @@ def test_cell_sets_and_verdicts_pinned(capsys):
     got = _cell_digests(json.loads(capsys.readouterr().out))
     with open(os.path.join(DATA, "check_all_order3.json")) as fh:
         assert got == json.load(fh)
+
+
+def test_sweep_json_pinned(capsys):
+    # The whole output of `check --suite sweep --order 3 --format json`, byte
+    # for byte: every cell of every draw, with its verdict.
+    assert main(["check", "--suite", "sweep", "--order", "3", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "07568d05b6916ab959d1c8c0dace653903d68f4c0bc4210781966c9239140e3a"
+
+
+def test_corrupted_elimination_family_fails_the_independent_routes(monkeypatch):
+    # One coefficient of the shared family is wrong: z^5 of E_3 gains c1.
+    # routes (a_field_direct against a_field_grunsky) and phi-generating
+    # (E_p - z^(1-p) f' against Lambda_p(f) evaluated on its own) must see it.
+    real = faberkernel._elimination_family
+
+    def corrupted(P, top):
+        family = real(P, top)
+        if P < 3 or top < 5:
+            return family
+        bump = PowerSeries([0] * 5 + [c(1)], order=INF)
+        return family[:3] + (family[3] + bump,) + family[4:]
+
+    monkeypatch.setattr(faberkernel, "_elimination_family", corrupted)
+    monkeypatch.setattr(kirillov, "_elimination_family", corrupted)
+    faberkernel.a_field_direct.cache_clear()
+    try:
+        for name in ("routes", "phi-generating"):
+            report = suites.run_suite(name, order=8)
+            assert not report.passed, name
+    finally:
+        faberkernel.a_field_direct.cache_clear()
 
 
 class TestReportFromPairs:
