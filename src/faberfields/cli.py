@@ -51,6 +51,14 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
+def _parse(flag: str, text: str, kind):
+    """The value of ``--flag``; a zero denominator is a usage error."""
+    try:
+        return kind(text)
+    except ZeroDivisionError:
+        raise UsageError(f"--{flag} {text} has a zero denominator") from None
+
+
 def _numeric_seed(args):
     name = args.seed
     if name == "generic":
@@ -58,7 +66,7 @@ def _numeric_seed(args):
     if name == "zero":
         return zero_seed()
     if name == "koebe":
-        return koebe_seed(Fraction(str(args.rho)))
+        return koebe_seed(_parse("rho", args.rho, Fraction))
     if name == "random":
         return random_seed(args.rand_seed, bound=args.bound)
     raise UsageError(f"unknown seed preset '{name}'")
@@ -69,119 +77,99 @@ def _complex_value(text: str) -> complex:
     return complex(Fraction(text)) if "/" in text else complex(text)
 
 
-def _format_value(v) -> str:
-    # str() round-trips exactly for int, Fraction and complex alike.
-    return str(v)
-
-
-def _specialized_marker_text(entry, values, var) -> str:
-    if isinstance(entry, WPoly):
-        exponents = range(entry.degree, -1, -1)
-        get = entry.coefficient
-    else:
-        exponents = sorted(entry.entries, reverse=True)
-        get = entry.coefficient
-    parts = []
-    for e in exponents:
-        val = get(e).specialize(values)
-        if not val:
-            continue
-        power = "" if e == 0 else (var if e == 1 else f"{var}^{e}")
-        txt = _format_value(val)
-        if power and txt == "1":
-            parts.append(power)
-        elif power:
-            parts.append(f"{txt}*{power}")
-        else:
-            parts.append(txt)
-    return " + ".join(parts) if parts else "0"
-
-
-def _marker_json(entry, values):
-    if values is None:
-        return entry.to_json_obj()
-    if isinstance(entry, WPoly):
-        return {"degree": entry.degree,
-                "coeffs": [_format_value(c.specialize(values)) for c in entry.coeffs]}
-    return {"exponents": {str(e): _format_value(entry.entries[e].specialize(values))
-                          for e in sorted(entry.entries)}}
-
-
-def _family_values(entries, seed):
+def _seed_values(seed, polys):
+    """The seed's value of every variable of ``polys``; None for the generic
+    seed, which keeps the output symbolic."""
     if seed is None:
         return None
-    nmax = 0
-    for entry in entries:
-        if isinstance(entry, CoeffPoly):
-            nmax = max(nmax, entry.max_variable())
-        elif isinstance(entry, WPoly):
-            nmax = max(nmax, max((c.max_variable() for c in entry.coeffs), default=0))
-        else:
-            nmax = max(nmax, max((c.max_variable() for c in entry.entries.values()),
-                                 default=0))
-    return seed.coeff_map(nmax)
+    return seed.coeff_map(max((p.max_variable() for p in polys), default=0))
 
 
-def _emit_marker_family(args, label, var, entries_by_index):
-    seed = _numeric_seed(args)
-    entries = list(entries_by_index.values())
-    values = _family_values(entries, seed)
+def _coeff_out(poly: CoeffPoly, values, json_out: bool):
+    """A coefficient as output: symbolic text or JSON terms, or its value under
+    the seed (str round-trips int, Fraction and complex alike)."""
+    if values is not None:
+        return str(poly.specialize(values))
+    return poly.to_json_terms() if json_out else poly.render()
+
+
+def _terms(entry):
+    """A table entry's marker variable and its (exponent, coefficient) terms as
+    stored: w for F_n and T_n, u for Lambda_p, none for a bare coefficient."""
+    if isinstance(entry, CoeffPoly):
+        return None, [(0, entry)]
+    if isinstance(entry, WPoly):
+        return "w", list(enumerate(entry.coeffs))
+    return "u", list(entry.entries.items())
+
+
+def _power(var: str, e: int) -> str:
+    return var if e == 1 else f"{var}^{e}"
+
+
+def _value_sum(terms, values, write) -> str:
+    """The nonzero values of (exponent, coefficient) terms under the seed, each
+    written by ``write(exponent, text)``, joined by " + "; "0" if none is."""
+    parts = [write(e, str(v)) for e, c in terms if (v := c.specialize(values))]
+    return " + ".join(parts) or "0"
+
+
+def _entry_out(entry, values, json_out: bool):
+    """A table entry as output: a coefficient as :func:`_coeff_out` writes it,
+    or a marker polynomial as JSON, as symbolic text, or as the sum of its
+    nonzero values under the seed."""
+    var, terms = _terms(entry)
+    if var is None:
+        return _coeff_out(entry, values, json_out)
+    if json_out:
+        return entry.to_json_obj(lambda c: _coeff_out(c, values, True))
+    if values is None:
+        return entry.render()
+
+    def term(e, txt):
+        if e == 0:
+            return txt
+        return _power(var, e) if txt == "1" else f"{txt}*{_power(var, e)}"
+
+    return _value_sum(sorted(terms, key=lambda t: t[0], reverse=True), values, term)
+
+
+def _emit_table(args, key: str, entries: dict, label: str, head=None):
+    """Print ``entries``, which map an index tuple to a coefficient or a marker
+    polynomial, under the seed: ``label`` formats an index for a text line and
+    ``head`` is the title line and the JSON fields of a 2-D table."""
+    values = _seed_values(_numeric_seed(args),
+                          [c for e in entries.values() for _, c in _terms(e)[1]])
+    title, fields = head or (None, {})
     if args.format == "json":
-        obj = {label: {str(i): _marker_json(e, values)
-                       for i, e in entries_by_index.items()}}
+        obj = {**fields, key: {",".join(map(str, i)): _entry_out(e, values, True)
+                               for i, e in entries.items()}}
         _emit(_json_text(obj), args.output)
         return
-    lines = []
-    for i, e in entries_by_index.items():
-        if values is None:
-            lines.append(f"{label}_{i} = {e.render(var)}")
-        else:
-            lines.append(f"{label}_{i} = {_specialized_marker_text(e, values, var)}")
+    lines = [title] if title else []
+    lines += [f"{label.format(*i)} = {_entry_out(e, values, False)}"
+              for i, e in entries.items()]
     _emit("\n".join(lines), args.output)
 
 
-def _cmd_faber(args):
-    _check_bounds(n=args.n)
-    fam = faberkernel.faber_polys(args.n)
-    indices = range(1, args.n + 1) if args.all else [args.n]
-    _emit_marker_family(args, "F", "w", {i: fam.poly(i) for i in indices})
-    return 0
+#: The one-index families, by verb: index flag, first index, JSON key, text
+#: label and the entry getter of the family built up to an index.
+FAMILIES = {
+    "faber": ("n", 1, "F", "F_{}", lambda n: faberkernel.faber_polys(n).poly),
+    "tpoly": ("n", 0, "T", "T_{}", lambda n: faberkernel.t_polys(n).poly),
+    "lambda": ("p", 0, "Lambda", "Lambda_{}",
+               lambda p: faberkernel.lambda_direct(p).poly),
+    "diag": ("p", 1, "a", "a_{0}^{0}", lambda p: faberkernel.diag_a(p).a),
+}
 
 
-def _cmd_tpoly(args):
-    _check_bounds(n=args.n)
-    fam = faberkernel.t_polys(args.n)
-    indices = range(0, args.n + 1) if args.all else [args.n]
-    _emit_marker_family(args, "T", "w", {i: fam.poly(i) for i in indices})
-    return 0
-
-
-def _cmd_lambda(args):
-    _check_bounds(p=args.p)
-    fam = faberkernel.lambda_direct(args.p)
-    indices = range(0, args.p + 1) if args.all else [args.p]
-    _emit_marker_family(args, "Lambda", "u", {i: fam.poly(i) for i in indices})
-    return 0
-
-
-def _cmd_diag(args):
-    _check_bounds(p=args.p)
-    diag = faberkernel.diag_a(args.p)
-    indices = range(1, args.p + 1) if args.all else [args.p]
-    seed = _numeric_seed(args)
-    values = _family_values([diag.a(i) for i in indices], seed)
-    if args.format == "json":
-        obj = {"a": {str(i): (diag.a(i).to_json_terms() if values is None
-                              else _format_value(diag.a(i).specialize(values)))
-                     for i in indices}}
-        _emit(_json_text(obj), args.output)
-        return 0
-    lines = []
-    for i in indices:
-        body = diag.a(i).render() if values is None \
-            else _format_value(diag.a(i).specialize(values))
-        lines.append(f"a_{i}^{i} = {body}")
-    _emit("\n".join(lines), args.output)
+def _cmd_family(args):
+    flag, first, key, label, family = FAMILIES[args.verb]
+    top = getattr(args, flag)
+    _check_bounds(**{flag: top})
+    entry = family(top)
+    indices = range(first, top + 1) if args.all else [top]
+    _emit_table(args, key, {(i,): entry(i) for i in indices}, label)
     return 0
 
 
@@ -190,22 +178,11 @@ def _cmd_grunsky(args):
     builder = faberkernel.grunsky_compose if args.route == "compose" \
         else faberkernel.grunsky_log
     table = builder(args.n, args.k)
-    seed = _numeric_seed(args)
     entries = {(n, k): table.beta(n, k)
                for n in range(1, args.n + 1) for k in range(1, args.k + 1)}
-    values = _family_values(list(entries.values()), seed)
-    if args.format == "json":
-        obj = {"n_max": args.n, "k_max": args.k, "route": table.provenance,
-               "beta": {f"{n},{k}": (p.to_json_terms() if values is None
-                                     else _format_value(p.specialize(values)))
-                        for (n, k), p in entries.items()}}
-        _emit(_json_text(obj), args.output)
-        return 0
-    lines = [f"# Grunsky table ({table.provenance})"]
-    for (n, k), p in sorted(entries.items()):
-        body = p.render() if values is None else _format_value(p.specialize(values))
-        lines.append(f"beta[{n},{k}] = {body}")
-    _emit("\n".join(lines), args.output)
+    _emit_table(args, "beta", entries, "beta[{},{}]",
+                (f"# Grunsky table ({table.provenance})",
+                 {"n_max": args.n, "k_max": args.k, "route": table.provenance}))
     return 0
 
 
@@ -214,56 +191,26 @@ def _cmd_afield(args):
     builder = faberkernel.a_field_grunsky if args.route == "grunsky" \
         else faberkernel.a_field_direct
     table = builder(args.p, args.n)
-    seed = _numeric_seed(args)
     entries = {(p, n): table.A(p, n)
                for p in range(0, args.p + 1) for n in range(0, args.n + 1)}
-    values = _family_values(list(entries.values()), seed)
-    if args.format == "json":
-        obj = {"p_max": args.p, "n_max": args.n, "route": table.provenance,
-               "A": {f"{p},{n}": (poly.to_json_terms() if values is None
-                                  else _format_value(poly.specialize(values)))
-                     for (p, n), poly in entries.items()}}
-        _emit(_json_text(obj), args.output)
-        return 0
-    lines = [f"# A-field table ({table.provenance})"]
-    for (p, n), poly in sorted(entries.items()):
-        body = poly.render() if values is None \
-            else _format_value(poly.specialize(values))
-        lines.append(f"A[{n}]^{p} = {body}")
-    _emit("\n".join(lines), args.output)
+    _emit_table(args, "A", entries, "A[{1}]^{0}",
+                (f"# A-field table ({table.provenance})",
+                 {"p_max": args.p, "n_max": args.n, "route": table.provenance}))
     return 0
 
 
 def _cmd_reverse(args):
     _check_bounds(q=abs(args.q), order=args.order)
-    table = inversion.reverse_table(args.q, args.q, args.order)
-    ser = table.power(args.q)
-    seed = _numeric_seed(args)
+    ser = inversion.reverse_table(args.q, args.q, args.order).power(args.q)
+    values = _seed_values(_numeric_seed(args), ser.coeffs)
     if args.format == "json":
-        if seed is None:
-            obj = {"q": args.q, "series": ser.to_json_obj()}
-        else:
-            values = seed.coeff_map(max((c.max_variable() for c in ser.coeffs),
-                                        default=0))
-            obj = {"q": args.q,
-                   "series": {"valuation": ser.valuation, "order": args.order,
-                              "coeffs": [_format_value(c.specialize(values))
-                                         for c in ser.coeffs]}}
-        _emit(_json_text(obj), args.output)
+        series = ser.to_json_obj(lambda c: _coeff_out(c, values, True))
+        _emit(_json_text({"q": args.q, "series": series}), args.output)
         return 0
-    if seed is None:
-        _emit(f"(f^-1)^{args.q} = {ser.render()}", args.output)
-    else:
-        values = seed.coeff_map(max((c.max_variable() for c in ser.coeffs), default=0))
-        parts = []
-        for i, c in enumerate(ser.coeffs):
-            val = c.specialize(values)
-            if val:
-                k = ser.valuation + i
-                power = "z" if k == 1 else f"z^{k}"
-                parts.append(f"{_format_value(val)}*{power}")
-        _emit(f"(f^-1)^{args.q} = " + (" + ".join(parts) if parts else "0"),
-              args.output)
+    body = ser.render() if values is None else _value_sum(
+        enumerate(ser.coeffs, ser.valuation), values,
+        lambda k, txt: f"{txt}*{_power('z', k)}")
+    _emit(f"(f^-1)^{args.q} = {body}", args.output)
     return 0
 
 
@@ -272,42 +219,32 @@ def _cmd_eval(args):
     seed = _numeric_seed(args)
     if seed is None:
         raise UsageError("eval needs a numeric seed preset (zero, koebe or random)")
-    family = args.family
-    if family == "faber":
-        entry = faberkernel.faber_polys(args.index).poly(args.index)
-        var = "w"
-    elif family == "tpoly":
-        entry = faberkernel.t_polys(args.index).poly(args.index)
-        var = "w"
-    elif family == "lambda":
-        entry = faberkernel.lambda_direct(args.index).poly(args.index)
-        var = "u"
-    elif family == "diag":
-        poly = faberkernel.diag_a(args.index).a(args.index)
-        values = seed.coeff_map(poly.max_variable())
-        _emit(_format_value(poly.specialize(values)), args.output)
-        return 0
-    else:
-        raise UsageError(f"unknown family '{family}'")
-    values = _family_values([entry], seed)
+    *_, label, family = FAMILIES[args.family]
+    entry = family(args.index)(args.index)
+    var, terms = _terms(entry)
+    values = _seed_values(seed, [c for _, c in terms])
+    json_out = args.format == "json"
     if args.at is None:
-        if args.format == "json":
-            _emit(_json_text({family: _marker_json(entry, values)}), args.output)
-        else:
-            _emit(_specialized_marker_text(entry, values, var), args.output)
+        out = _entry_out(entry, values, json_out)
+        _emit(_json_text({args.family: out}) if json_out else out, args.output)
         return 0
-    at = _complex_value(args.at)
-    total = 0j
-    items = enumerate(entry.coeffs) if isinstance(entry, WPoly) \
-        else entry.entries.items()
-    for e, c in items:
-        total += complex(c.specialize(values)) * at ** e
-    if args.format == "json":
-        _emit(_json_text({family: {"at": [at.real, at.imag],
-                                   "value": [total.real, total.imag]}}),
+    name = label.format(args.index)
+    if var is None:
+        raise UsageError(f"--at needs a marker variable, and {name} has none")
+    at = _parse("at", args.at, _complex_value)
+    try:
+        total = sum((complex(c.specialize(values)) * at ** e for e, c in terms), 0j)
+    except ZeroDivisionError:
+        raise UsageError(f"--at {args.at} is a pole of {name}") from None
+    except OverflowError:
+        raise UsageError(
+            f"{name} overflows a complex float at --at {args.at}") from None
+    if json_out:
+        _emit(_json_text({args.family: {"at": [at.real, at.imag],
+                                        "value": [total.real, total.imag]}}),
               args.output)
     else:
-        _emit(_format_value(total), args.output)
+        _emit(str(total), args.output)
     return 0
 
 
@@ -322,28 +259,34 @@ def _cmd_check(args):
         value = getattr(args, name)
         if value is not None and value < low:
             raise UsageError(f"--{name} {value} is below {low}: nothing to check")
-    reports = []
-    names = suites.suite_names() if args.suite == "all" else [args.suite]
-    include_contour = args.suite in ("all", "contour")
-    include_sweep = args.suite in ("all", "sweep")
-    exact_names = [n for n in names if n in suites.suite_names()]
-    if args.suite not in ("all", "contour", "sweep") and not exact_names:
+    exact = suites.suite_names()
+    if args.suite not in exact + ["contour", "sweep", "all"]:
         raise UsageError(
             f"unknown suite '{args.suite}' "
-            f"(have: {', '.join(suites.suite_names() + ['contour', 'sweep', 'all'])})")
+            f"(have: {', '.join(exact + ['contour', 'sweep', 'all'])})")
+    include_contour = args.suite in ("all", "contour")
+    include_sweep = args.suite in ("all", "sweep")
+    if include_contour:
+        seed = koebe_seed(_parse("rho", args.rho, Fraction))
+        z = _parse("z", args.z, _complex_value)
     overrides = {flag: getattr(args, flag) for flag in suites.FLAGS
                  if getattr(args, flag) is not None}
-    for name in exact_names:
-        reports.append(suites.run_suite(name, order=args.order, **overrides))
+    # Each suite's pairs are built once: its exact report checks them, and
+    # the sweep specializes the same objects, in registry order.
+    reports, swept = [], []
+    for name in exact:
+        checked = args.suite in (name, "all")
+        if checked or include_sweep:
+            pairs = list(suites.suite_pairs(name, args.order, **overrides))
+            if checked:
+                reports.append(suites.suite_report(name, pairs))
+            swept += pairs
     contour_reports = []
     if include_contour:
-        seed = koebe_seed(Fraction(str(args.rho)))
         for p in range(0, (args.pmax if args.pmax is not None else 4) + 1):
-            contour_reports.append(
-                contour_check(seed, p, _complex_value(args.z), args.r, args.M))
+            contour_reports.append(contour_check(seed, p, z, args.r, args.M))
     if include_sweep:
-        pairs = suites.collect_pairs(order=args.order, **overrides)
-        reports.append(numeric_identity_sweep(pairs, draws=args.draws))
+        reports.append(numeric_identity_sweep(swept, draws=args.draws))
     ok = all(r.passed for r in reports) and all(c.ok for c in contour_reports)
     if args.format == "json":
         obj = {"ok": ok,
@@ -377,29 +320,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rand-seed", type=int, default=0)
         p.add_argument("--bound", type=float, default=0.5)
 
-    p = sub.add_parser("faber", help="Faber polynomials F_n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--all", action="store_true", help="emit indices 1..n")
-    add_common(p)
-    p.set_defaults(func=_cmd_faber)
-
-    p = sub.add_parser("tpoly", help="companion polynomials T_n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--all", action="store_true")
-    add_common(p)
-    p.set_defaults(func=_cmd_tpoly)
-
-    p = sub.add_parser("lambda", help="eliminator Laurent polynomials Lambda_p")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--all", action="store_true")
-    add_common(p)
-    p.set_defaults(func=_cmd_lambda)
-
-    p = sub.add_parser("diag", help="diagonal coefficients a_p^p")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--all", action="store_true")
-    add_common(p)
-    p.set_defaults(func=_cmd_diag)
+    for verb, text in (("faber", "Faber polynomials F_n"),
+                       ("tpoly", "companion polynomials T_n"),
+                       ("lambda", "eliminator Laurent polynomials Lambda_p"),
+                       ("diag", "diagonal coefficients a_p^p")):
+        flag, first = FAMILIES[verb][:2]
+        p = sub.add_parser(verb, help=text)
+        p.add_argument(f"--{flag}", type=int, required=True)
+        p.add_argument("--all", action="store_true",
+                       help=f"emit indices {first}..{flag}")
+        add_common(p)
+        p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("grunsky", help="Grunsky coefficient table")
     p.add_argument("--n", type=int, required=True)
@@ -438,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("eval", help="specialize a family entry numerically")
-    p.add_argument("--family", required=True,
-                   choices=["faber", "tpoly", "lambda", "diag"])
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--at", type=str, default=None,
                    help="also evaluate the marker variable at this point "

@@ -264,11 +264,12 @@ class LaurentSeries:
         tail = "" if self.order is INF else f" + O(z^{self.order + 1})"
         return f"<{type(self).__name__} {self.render()}{tail}>"
 
-    def to_json_obj(self) -> dict:
+    def to_json_obj(self, coeff=CoeffPoly.to_json_terms) -> dict:
+        """``coeff`` writes each coefficient; by default, as its exact JSON terms."""
         return {
             "valuation": self.valuation,
             "order": None if self.order is INF else self.order,
-            "coeffs": [c.to_json_terms() for c in self.coeffs],
+            "coeffs": [coeff(c) for c in self.coeffs],
         }
 
     @classmethod
@@ -641,10 +642,11 @@ class WPoly:
     def __repr__(self):
         return f"<WPoly {self.render()}>"
 
-    def to_json_obj(self) -> dict:
+    def to_json_obj(self, coeff=CoeffPoly.to_json_terms) -> dict:
+        """``coeff`` writes each coefficient; by default, as its exact JSON terms."""
         return {
             "degree": self.degree,
-            "coeffs": [c.to_json_terms() for c in self.coeffs],
+            "coeffs": [coeff(c) for c in self.coeffs],
         }
 
     @classmethod
@@ -743,8 +745,9 @@ class LaurentWPoly:
     def __repr__(self):
         return f"<LaurentWPoly {self.render()}>"
 
-    def to_json_obj(self) -> dict:
-        return {"exponents": {str(e): self.entries[e].to_json_terms()
+    def to_json_obj(self, coeff=CoeffPoly.to_json_terms) -> dict:
+        """``coeff`` writes each coefficient; by default, as its exact JSON terms."""
+        return {"exponents": {str(e): coeff(self.entries[e])
                               for e in sorted(self.entries)}}
 
     @classmethod

@@ -3,9 +3,11 @@
 Each entry names the pair generator of its identity, the indices that key a
 report cell, its default sizes (the package's acceptance targets), how
 ``--order N`` rescales them, and which of the CLI's ``--kmax``/``--pmax``
-flags it honours.  :func:`run_suite` turns the pairs into the exact report
-and :func:`collect_pairs` hands the same pairs, at the same sizes, to the
-numeric sweep.
+flags it honours.  :func:`suite_pairs` builds one suite's pairs at those
+sizes and :func:`suite_report` turns them into the exact report;
+``faberfields check`` builds each suite's pairs once and hands the same
+objects to the numeric sweep.  :func:`run_suite` does both steps for one
+suite, and :func:`collect_pairs` gathers the pairs of every suite.
 """
 
 from __future__ import annotations
@@ -72,6 +74,12 @@ def suite_names() -> list[str]:
     return list(_SUITES)
 
 
+def _lookup(name: str) -> Suite:
+    if name not in _SUITES:
+        raise KeyError(f"unknown suite '{name}' (have {', '.join(_SUITES)})")
+    return _SUITES[name]
+
+
 def _sizes(suite: Suite, order: int | None, overrides: dict) -> dict:
     """Default sizes, rescaled by ``order``; the flags the suite honours win."""
     unknown = set(overrides) - set(FLAGS)
@@ -85,20 +93,25 @@ def _sizes(suite: Suite, order: int | None, overrides: dict) -> dict:
     return sizes
 
 
+def suite_pairs(name: str, order: int | None = None,
+                **overrides) -> Iterable[IdentityPair]:
+    """The identity pairs of one exact suite; ``order`` rescales its sizes and
+    ``kmax``/``pmax`` overrides win where the suite honours them."""
+    suite = _lookup(name)
+    return suite.pairs(**_sizes(suite, order, overrides))
+
+
+def suite_report(name: str, pairs: Iterable[IdentityPair]) -> CheckReport:
+    """The exact report of one suite's pairs, a cell per value of its cell keys."""
+    return report_from_pairs(name, pairs, _lookup(name).cell_keys)
+
+
 def run_suite(name: str, order: int | None = None, **overrides) -> CheckReport:
-    """Run one exact suite; ``order`` rescales its sizes and ``kmax``/``pmax``
-    overrides win where the suite honours them."""
-    if name not in _SUITES:
-        raise KeyError(f"unknown suite '{name}' (have {', '.join(_SUITES)})")
-    suite = _SUITES[name]
-    return report_from_pairs(name, suite.pairs(**_sizes(suite, order, overrides)),
-                             suite.cell_keys)
+    """Run one exact suite at the sizes of :func:`suite_pairs`."""
+    return suite_report(name, suite_pairs(name, order, **overrides))
 
 
 def collect_pairs(order: int | None = None, **overrides) -> list[IdentityPair]:
-    """Identity pairs of every exact suite, for the numeric sweep, at exactly
-    the sizes :func:`run_suite` checks for the same arguments."""
-    pairs: list[IdentityPair] = []
-    for suite in _SUITES.values():
-        pairs.extend(suite.pairs(**_sizes(suite, order, overrides)))
-    return pairs
+    """Identity pairs of every exact suite, in registry order, for the numeric
+    sweep, at exactly the sizes :func:`run_suite` checks for the same arguments."""
+    return [pair for name in _SUITES for pair in suite_pairs(name, order, **overrides)]

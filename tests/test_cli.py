@@ -1,12 +1,17 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from faberfields import suites
 from faberfields.cli import main
+from faberfields.polyring import CoeffPoly
+from faberfields.reports import IdentityPair
 
 
 def run(capsys, *argv):
@@ -94,16 +99,32 @@ class TestCheck:
         assert "unknown suite" in err
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
-        from faberfields import cli as climod
-        from faberfields.reports import CheckReport, cell
+        def unequal(**sizes):
+            yield IdentityPair("recursion", (("p", 1),), CoeffPoly.one(),
+                               CoeffPoly.zero())
 
-        def fake(name, order=None, **kw):
-            return CheckReport(name, (cell(False, "forced", k=1),))
-
-        monkeypatch.setattr(climod.suites, "run_suite", fake)
+        entry = suites._SUITES["recursion"]
+        monkeypatch.setitem(suites._SUITES, "recursion",
+                            dataclasses.replace(entry, pairs=unequal))
         code, out, _ = run(capsys, "check", "--suite", "recursion")
         assert code == 1
         assert "FAIL" in out
+
+    def test_all_runs_each_generator_once(self, capsys, monkeypatch):
+        # The exact reports and the numeric sweep share one pass of pairs.
+        runs = Counter()
+        for name, entry in list(suites._SUITES.items()):
+            def counted(*args, _name=name, _pairs=entry.pairs, **sizes):
+                runs[_name] += 1
+                yield from _pairs(*args, **sizes)
+
+            monkeypatch.setitem(suites._SUITES, name,
+                                dataclasses.replace(entry, pairs=counted))
+        code, out, _ = run(capsys, "check", "--suite", "all", "--order", "2",
+                           "--draws", "1", "--M", "64")
+        assert code == 0
+        assert "numeric-sweep" in out
+        assert runs == {name: 1 for name in suites.suite_names()}
 
     def test_contour_suite(self, capsys):
         for rho in ("--rho=1/2", "--rho=-1/2"):
@@ -171,6 +192,25 @@ class TestEval:
         assert code == 0
         assert out.strip() == "2"
 
+    def test_diag_eval_json(self, capsys):
+        code, out, _ = run(capsys, "eval", "--family", "diag", "--index", "2",
+                           "--seed", "koebe", "--rho", "1/3", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"diag": "8/9"}
+        code, out, _ = run(capsys, "eval", "--family", "diag", "--index", "2",
+                           "--seed", "random", "--format", "json")
+        assert code == 0
+        value = json.loads(out)["diag"]
+        assert json.dumps({"diag": value}, indent=2, sort_keys=True) == out.strip()
+        assert complex(value).imag != 0
+
+    def test_diag_has_no_marker_variable(self, capsys):
+        code, out, err = run(capsys, "eval", "--family", "diag", "--index", "2",
+                             "--seed", "koebe", "--at", "0.3")
+        assert code == 2
+        assert not out
+        assert "a_2^2 has none" in err
+
 
 class TestUsage:
     def test_unknown_verb(self, capsys):
@@ -208,6 +248,34 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not target.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("eval", "--family", "lambda", "--index", "2", "--seed", "zero",
+          "--at", "0"), "--at 0 is a pole of Lambda_2"),
+        (("eval", "--family", "faber", "--index", "2", "--seed", "zero",
+          "--at", "1/0"), "--at 1/0 has a zero denominator"),
+        (("diag", "--p", "2", "--seed", "koebe", "--rho", "1/0"),
+         "--rho 1/0 has a zero denominator"),
+        (("check", "--suite", "contour", "--rho", "1/0", "--pmax", "1"),
+         "--rho 1/0 has a zero denominator"),
+        (("check", "--suite", "contour", "--z", "1/0", "--pmax", "1"),
+         "--z 1/0 has a zero denominator"),
+        (("eval", "--family", "faber", "--index", "2", "--seed", "zero",
+          "--at", "1e300"), "F_2 overflows a complex float at --at 1e300"),
+    ])
+    def test_unusable_point_is_an_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    def test_points_are_read_before_any_suite_runs(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a suite ran before --z was read")
+
+        monkeypatch.setattr(suites, "suite_pairs", unreachable)
+        code, _, err = run(capsys, "check", "--suite", "all", "--z", "1/0")
+        assert code == 2
+        assert err == "error: --z 1/0 has a zero denominator\n"
 
 
 class TestSignedValues:
