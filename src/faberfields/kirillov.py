@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .faberkernel import AFieldTable, _elimination_family, a_field_direct, lambda_direct
-from .polyring import CoeffPoly
+from .polyring import CoeffPoly, mono_div_at, mono_mul, poly_from_bucket
 from .reports import CheckReport, IdentityPair, report_from_pairs, series_pairs
 from .series import (LaurentSeries, LaurentWPoly, WPoly, _make, laurent_recip,
                      seed_series)
@@ -52,12 +52,42 @@ class Derivation:
         return self._entry(n)
 
     def apply_poly(self, target: CoeffPoly) -> CoeffPoly:
-        out = CoeffPoly.zero()
+        """sum_j v_j d(target)/dc_j, in one pass over the target's terms.
+
+        Each term q m adds q e (m / c_j) v_j for every factor c_j^e of m, as
+        raw numerator/denominator pairs into one bucket that is normalized
+        once.  Every entry is fetched first, in index order, so a too-short
+        A-table raises before any work.
+        """
+        entries = {}
         for j in target.variables():
-            dj = target.partial(j)
-            if dj:
-                out = out + self.coefficient(j) * dj
-        return out
+            v = self.coefficient(j)
+            if v:
+                entries[j] = [(m, q.numerator, q.denominator) for m, q in v.terms.items()]
+        bucket: dict = {}
+        bucket_get = bucket.get
+        for m1, q1 in target.terms.items():
+            n1, d1 = q1.numerator, q1.denominator
+            for i, (j, e) in enumerate(m1):
+                vt = entries.get(j)
+                if vt is None:
+                    continue
+                # m / c_j is interned: mono_mul's cache is keyed by id().
+                mj = mono_div_at(m1, i)
+                ne = n1 * e
+                for m2, n2, d2 in vt:
+                    m = mono_mul(mj, m2)
+                    n = ne * n2
+                    d = d1 * d2
+                    cur = bucket_get(m)
+                    if cur is None:
+                        bucket[m] = [n, d]
+                    elif cur[1] == d:
+                        cur[0] += n
+                    else:
+                        cur[0] = cur[0] * d + n * cur[1]
+                        cur[1] *= d
+        return poly_from_bucket(bucket)
 
     def apply(self, target):
         """Apply coefficientwise to any object over the coefficient ring."""

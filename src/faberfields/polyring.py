@@ -19,9 +19,13 @@ identity test.
 Rationals are ``fractions.Fraction``: always in lowest terms, positive
 denominator, zero is ``0/1``.  Whole values are kept as plain ``int`` (which
 satisfies the same Rational protocol and compares equal to the matching
-Fraction), and ``poly_mul`` accumulates numerator/denominator pairs in raw
-integers, normalizing once per output term; together these keep the hot
-convolution loops close to integer speed.
+Fraction): no stored coefficient is a ``Fraction`` with denominator 1.  The
+constructor, ``+``, ``-``, ``*`` by a scalar or a polynomial, ``partial``,
+``poly_from_bucket`` and ``poly_div_int`` all keep this invariant, and so
+does ``kirillov.Derivation.apply_poly``, which builds on the bucket.
+Products accumulate numerator/denominator pairs in raw integers, normalizing
+once per output term; together these keep the hot convolution and scaling
+loops close to integer speed.
 """
 
 from __future__ import annotations
@@ -106,6 +110,14 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return m
 
 
+def mono_div_at(m: Monomial, i: int) -> Monomial:
+    """m / c_j for the pair (j, e) at position i of m, interned."""
+    j, e = m[i]
+    if e == 1:
+        return _intern_mono(m[:i] + m[i + 1:])
+    return _intern_mono(m[:i] + ((j, e - 1),) + m[i + 1:])
+
+
 def mono_weight(m: Monomial) -> int:
     """Weight of a monomial: sum of index * exponent."""
     return sum(j * e for j, e in m)
@@ -153,15 +165,24 @@ def mono_render(m: Monomial) -> str:
 
 
 def _as_rational(x):
-    """Coefficient values are int or Fraction; ints stay ints for speed.
+    """Coefficient values are int or Fraction; whole values become ints.
 
     Python ints implement the Rational protocol (numerator/denominator), and
     mixed int/Fraction comparison and arithmetic agree, so equality of term
     maps is still exact value equality.
     """
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return x
+    if isinstance(x, Fraction):
+        return _whole(x)
     raise TypeError(f"expected an exact rational or int, got {type(x).__name__}")
+
+
+def _whole(q):
+    """q with a whole Fraction replaced by its int numerator."""
+    if q.__class__ is Fraction and q.denominator == 1:
+        return q.numerator
+    return q
 
 
 class CoeffPoly:
@@ -244,7 +265,7 @@ class CoeffPoly:
             else:
                 s = s + q
                 if s:
-                    out[m] = s
+                    out[m] = _whole(s)
                 else:
                     del out[m]
         res = CoeffPoly.__new__(CoeffPoly)
@@ -274,7 +295,12 @@ class CoeffPoly:
             if not q:
                 return CoeffPoly.zero()
             res = CoeffPoly.__new__(CoeffPoly)
-            res._terms = {m: c * q for m, c in self._terms.items()}
+            # int * int needs no check for a whole Fraction.
+            if q.__class__ is int:
+                res._terms = {m: c * q if c.__class__ is int else _whole(c * q)
+                              for m, c in self._terms.items()}
+            else:
+                res._terms = {m: _whole(c * q) for m, c in self._terms.items()}
             return res
         if not isinstance(other, CoeffPoly):
             return NotImplemented
@@ -314,23 +340,16 @@ class CoeffPoly:
         """Formal partial derivative with respect to c_j."""
         if j < 1:
             raise ValueError(f"variable index must be >= 1, got {j}")
+        # m -> m / c_j is one-to-one on the monomials holding c_j, so no two
+        # terms land on the same output monomial.
         out: dict[Monomial, Fraction] = {}
         for m, q in self._terms.items():
-            d = dict(m)
-            e = d.get(j)
-            if not e:
-                continue
-            if e == 1:
-                del d[j]
-            else:
-                d[j] = e - 1
-            mm = _intern_mono(tuple(sorted(d.items())))
-            prev = out.get(mm, Fraction(0))
-            s = prev + q * e
-            if s:
-                out[mm] = s
-            elif mm in out:
-                del out[mm]
+            for i, (jj, e) in enumerate(m):
+                if jj == j:
+                    out[mono_div_at(m, i)] = _whole(q * e)
+                    break
+                if jj > j:
+                    break
         res = CoeffPoly.__new__(CoeffPoly)
         res._terms = out
         return res
@@ -478,7 +497,7 @@ def poly_from_bucket(bucket: dict) -> CoeffPoly:
     out = {}
     for m, (n, d) in bucket.items():
         if n:
-            out[m] = n if d == 1 else Fraction(n, d)
+            out[m] = n if d == 1 else _whole(Fraction(n, d))
     res = CoeffPoly.__new__(CoeffPoly)
     res._terms = out
     return res

@@ -174,3 +174,14 @@ def termwise_specialize(poly: CoeffPoly, values):
         contrib = q if term is None else q * term
         total = contrib if total is None else total + contrib
     return Fraction(0) if total is None else total
+
+
+def partial_sum_apply(D, target: CoeffPoly) -> CoeffPoly:
+    """sum_j v_j d(target)/dc_j for a derivation D, one partial polynomial
+    and one product per variable, summed one variable at a time."""
+    out = CoeffPoly.zero()
+    for j in target.variables():
+        dj = target.partial(j)
+        if dj:
+            out = out + D.coefficient(j) * dj
+    return out

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from faberfields.faberkernel import a_field_direct, lambda_direct
+from faberfields import kirillov
+from faberfields.faberkernel import (a_field_direct, a_field_grunsky, grunsky_log,
+                                     lambda_direct)
 from faberfields.kirillov import (
     check_negative_action,
     check_recursion,
@@ -17,10 +19,12 @@ from faberfields.kirillov import (
     partial_via_L,
     sample_polynomials,
 )
-from faberfields.polyring import CoeffPoly, c
+from faberfields.polyring import _MONO_INTERN, CoeffPoly, c
 from faberfields.series import LaurentWPoly, WPoly, seed_series, series_agree, z_series
 
+from .oracles import partial_sum_apply
 from .strategies import coeff_polys
+from .test_polyring import whole_fractions
 
 c1, c2, c3 = c(1), c(2), c(3)
 one = CoeffPoly.one()
@@ -216,3 +220,58 @@ class TestNegativeAction:
     def test_invariant_range(self):
         # Stated module invariant: passes for p <= 8 at seed order >= 2p + 10.
         assert negative_action_report(8).passed
+
+
+def _kernel_ops():
+    """L_0..L_4, d/dc_1..d/dc_5 and L_{-1}..L_{-3} from one A table."""
+    table = a_field_direct(3, 6)
+    return ([make_L(k) for k in range(5)]
+            + [partial_derivation(k) for k in range(1, 6)]
+            + [make_L(-p, table) for p in range(1, 4)])
+
+
+class TestDerivationKernel:
+    @given(coeff_polys)
+    @settings(max_examples=60)
+    @example(CoeffPoly.zero())
+    @example(c1 * Fraction(1, 2) + c2 * c3 * Fraction(-5, 3) + c3 * c3 * c1 * 4)
+    def test_matches_partial_sum(self, target):
+        for op in _kernel_ops():
+            got = op.apply_poly(target)
+            assert got == partial_sum_apply(op, target), op
+            assert not whole_fractions(got), op
+
+    def test_short_table_error_text(self):
+        op = make_L(-1, a_field_direct(1, 2))
+        target = c1 * c(5) + c2
+        with pytest.raises(IndexError) as new:
+            op.apply_poly(target)
+        with pytest.raises(IndexError) as old:
+            partial_sum_apply(op, target)
+        assert str(new.value) == str(old.value)
+        assert "c5 requested" in str(new.value)
+
+
+class TestWholeValues:
+    def test_tables(self):
+        polys = list(grunsky_log(6, 6).entries.values())
+        polys += list(a_field_grunsky(4, 6).a_entries.values())
+        polys += list(a_field_grunsky(4, 6).b_entries.values())
+        for lam in lambda_direct(8).entries:
+            polys += list(lam.entries.values())
+        assert polys
+        for p in polys:
+            assert not whole_fractions(p), p
+
+    def test_kernel_multiplies_interned_monomials(self, monkeypatch):
+        seen = []
+        mono_mul = kirillov.mono_mul
+
+        def checked(a, b):
+            assert _MONO_INTERN[a] is a and _MONO_INTERN[b] is b, (a, b)
+            seen.append(1)
+            return mono_mul(a, b)
+
+        monkeypatch.setattr(kirillov, "mono_mul", checked)
+        assert check_thm42(3, 4).passed
+        assert seen

@@ -19,7 +19,7 @@ from faberfields.polyring import (
     weight_components,
 )
 
-from .strategies import coeff_polys, var_indices
+from .strategies import coeff_polys, rationals, var_indices
 
 c1, c2, c3 = c(1), c(2), c(3)
 
@@ -196,6 +196,26 @@ class TestQueries:
         assert CoeffPoly.zero().homogeneous_weight() is None
         with pytest.raises(ValueError):
             (c1 + c2).homogeneous_weight()
+
+
+def whole_fractions(p: CoeffPoly) -> list:
+    """The stored coefficients of p that are Fractions with denominator 1."""
+    return [q for q in p.terms.values() if type(q) is Fraction and q.denominator == 1]
+
+
+class TestWholeValues:
+    def test_hand_cases(self):
+        h = c1 * Fraction(1, 2)
+        assert type((h + h).terms[mono((1, 1))]) is int
+        assert type((c1 * c1).partial(1).terms[mono((1, 1))]) is int
+        assert type((h * 4).terms[mono((1, 1))]) is int
+        assert type(CoeffPoly({mono((1, 1)): Fraction(3, 1)}).terms[mono((1, 1))]) is int
+
+    @given(coeff_polys, coeff_polys, rationals, var_indices)
+    def test_ring_operations_keep_whole_values_int(self, a, b, q, j):
+        for p in (a, b, a + b, a - b, a * b, a * q, a * int(q * 6), a.partial(j),
+                  poly_div_int(a, 3), -a):
+            assert not whole_fractions(p), p
 
 
 class TestDivInt:
