@@ -310,13 +310,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "Grunsky coefficients and coefficient-manifold vector fields.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p):
+    def add_output(p):
+        # --rho scales the Koebe seed: of --seed koebe, and of check's contour.
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--output", default=None, help="write to file instead of stdout")
-        p.add_argument("--seed", default="generic",
-                       choices=["generic", "zero", "koebe", "random"])
         p.add_argument("--rho", type=str, default="1/2",
                        help="koebe seed scale (exact rational, e.g. 1/2 or 0.5)")
+
+    def add_common(p):
+        add_output(p)
+        p.add_argument("--seed", default="generic",
+                       choices=["generic", "zero", "koebe", "random"])
         p.add_argument("--rand-seed", type=int, default=0)
         p.add_argument("--bound", type=float, default=0.5)
 
@@ -365,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "or rational, e.g. -1/5)")
     p.add_argument("--r", type=float, default=0.6)
     p.add_argument("--M", type=int, default=4096)
-    add_common(p)
+    add_output(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("eval", help="specialize a family entry numerically")

@@ -14,8 +14,10 @@ coefficient ring:
 * the vector-field coefficient tables ``A_n^p`` (and intermediates
   ``B_k^p``), again by two independent routes.
 
-Every power f^e of the seed, of either sign, comes from one kernel
-(``_f_power``, Miller's recurrence on f/z), and Lambda_p(f) and F_n(1/f) are
+Every power of the seed, of either sign, comes from one kernel, Miller's
+recurrence on f/z (``series.unit_pow``): each f^e through ``_f_power``, and
+r = z/f = (f/z)^-1 and S = f'^2 (f/z)^-2, so no builder here takes a
+reciprocal or a product power of a series.  Lambda_p(f) and F_n(1/f) are
 each one sum sum_e c_e f^e over a table of those powers (``_eval_on_powers``),
 accumulated coefficient by coefficient only through the highest power of z
 that is read.  The elimination series E_p are keyed by that power, not by a
@@ -44,8 +46,6 @@ from .series import (
     _make,
     bi_log_in_u,
     divided_difference,
-    laurent_pow,
-    laurent_recip,
     seed_series,
     unit_pow,
 )
@@ -73,15 +73,16 @@ def _seed(order: int) -> PowerSeries:
 
 @lru_cache(maxsize=None)
 def _r_series(order: int) -> PowerSeries:
-    """r(z) = z / f(z) = 1 / (1 + c1 z + c2 z^2 + ...), through z^order."""
-    return laurent_recip(_seed(order + 1).shift(-1))
+    """r(z) = z / f(z) = (f/z)^-1 from the power kernel, through z^order."""
+    return unit_pow(_seed(order + 1).shift(-1), -1)
 
 
 @lru_cache(maxsize=None)
 def _s_series(order: int) -> PowerSeries:
-    """S(z) = z^2 f'(z)^2 / f(z)^2 = (f'(z) r(z))^2, through z^order."""
-    fprime = _seed(order + 1).derivative()
-    return laurent_pow(fprime * _r_series(order), 2)
+    """S(z) = z^2 f'(z)^2 / f(z)^2 = f'(z) f'(z) (f/z)^-2, through z^order."""
+    f = _seed(order + 1)
+    fprime = f.derivative()
+    return fprime * fprime * unit_pow(f.shift(-1), -2)
 
 
 def _f_power(order: int, e: int) -> LaurentSeries:
@@ -537,47 +538,44 @@ def grunsky_symmetry_check(N: int) -> CheckReport:
 ROUTE_KEYS = ("n", "k", "m", "p", "e")
 
 
-def route_equivalence_check(grunsky_n: int = 10, t_n: int = 10, diag_p: int = 10,
-                            lambda_p: int = 10, afield_p: int = 8,
-                            afield_n: int = 8) -> CheckReport:
+def route_equivalence_check(n: int = 10, afield: int = 8) -> CheckReport:
     """Exact equality of every dual-route construction."""
-    return report_from_pairs("routes", route_equivalence_pairs(
-        grunsky_n, t_n, diag_p, lambda_p, afield_p, afield_n), ROUTE_KEYS)
+    return report_from_pairs("routes", route_equivalence_pairs(n, afield), ROUTE_KEYS)
 
 
-def route_equivalence_pairs(grunsky_n: int = 10, t_n: int = 10, diag_p: int = 10,
-                            lambda_p: int = 10, afield_p: int = 8,
-                            afield_n: int = 8):
-    g1 = grunsky_log(grunsky_n, grunsky_n)
-    g2 = grunsky_compose(grunsky_n, grunsky_n)
-    for n in range(1, grunsky_n + 1):
-        for k in range(1, grunsky_n + 1):
-            yield IdentityPair("routes-grunsky", (("n", n), ("k", k)),
-                               g1.beta(n, k), g2.beta(n, k))
-    t1 = t_polys(t_n)
-    t2 = t_from_faber(t_n)
-    for n in range(t_n + 1):
-        for m in range(n + 1):
-            yield IdentityPair("routes-t", (("n", n), ("m", m)),
-                               t1.poly(n).coefficient(m), t2.poly(n).coefficient(m))
-    d1 = diag_a(diag_p)
-    d2 = diag_a_grunsky(diag_p)
-    for p in range(1, diag_p + 1):
+def route_equivalence_pairs(n: int = 10, afield: int = 8):
+    """Both routes of the Grunsky table, T_n, a_p^p and Lambda_p at size n,
+    and of the A and B tables on the square p, n <= afield."""
+    g1 = grunsky_log(n, n)
+    g2 = grunsky_compose(n, n)
+    for i in range(1, n + 1):
+        for k in range(1, n + 1):
+            yield IdentityPair("routes-grunsky", (("n", i), ("k", k)),
+                               g1.beta(i, k), g2.beta(i, k))
+    t1 = t_polys(n)
+    t2 = t_from_faber(n)
+    for i in range(n + 1):
+        for m in range(i + 1):
+            yield IdentityPair("routes-t", (("n", i), ("m", m)),
+                               t1.poly(i).coefficient(m), t2.poly(i).coefficient(m))
+    d1 = diag_a(n)
+    d2 = diag_a_grunsky(n)
+    for p in range(1, n + 1):
         yield IdentityPair("routes-diag", (("p", p),), d1.a(p), d2.a(p))
-    l1 = lambda_direct(lambda_p)
-    l2 = lambda_from_t(lambda_p)
-    for p in range(lambda_p + 1):
+    l1 = lambda_direct(n)
+    l2 = lambda_from_t(n)
+    for p in range(n + 1):
         for e in range(1 - p, 2):
             yield IdentityPair("routes-lambda", (("p", p), ("e", e)),
                                l1.poly(p).coefficient(e), l2.poly(p).coefficient(e))
-    a1 = a_field_direct(afield_p, afield_n)
-    a2 = a_field_grunsky(afield_p, afield_n)
-    for p in range(afield_p + 1):
-        for n in range(afield_n + 1):
-            yield IdentityPair("routes-afield", (("p", p), ("n", n)),
-                               a1.A(p, n), a2.A(p, n))
-    for p in range(1, afield_p + 1):
-        for k in range(afield_n + 1):
+    a1 = a_field_direct(afield, afield)
+    a2 = a_field_grunsky(afield, afield)
+    for p in range(afield + 1):
+        for i in range(afield + 1):
+            yield IdentityPair("routes-afield", (("p", p), ("n", i)),
+                               a1.A(p, i), a2.A(p, i))
+    for p in range(1, afield + 1):
+        for k in range(afield + 1):
             yield IdentityPair("routes-bfield", (("p", p), ("k", k)),
                                a1.B(p, k), a2.B(p, k))
 

@@ -15,13 +15,14 @@ act on them coefficientwise.  The identities checked here:
 where Lambda_p(z) is the eliminator Laurent polynomial read at the series
 variable.
 
-g comes from :func:`~faberfields.series.ps_reversion` (Lagrange inversion,
-checked by composing back to z as g(f(z)) = z, a sum of g_m f^m in which
-each f^m is a product with the seed).  Its other powers are read off the
-powers (f/w)^(-m) of the seed by the Lagrange-Burmann formula, each power
-taken by Miller's recurrence (``series.unit_pow``), so no power of g costs a
-product of two dense series; ``unique_elimination_pairs`` keeps
-``laurent_pow`` as an independent route.
+Every power g^q comes from :func:`~faberfields.series.reversion_powers`,
+the one Lagrange-Burmann loop, which reads it off the powers (f/w)^(-m) of
+the seed, each taken by Miller's recurrence (``series.unit_pow``), so no
+power of g costs a product of two dense series.  g itself is the q = 1 entry
+as :func:`~faberfields.series.ps_reversion` returns it, checked by composing
+back to z as g(f(z)) = z, a sum of g_m f^m in which each f^m is a product
+with the seed; ``unique_elimination_pairs`` keeps ``laurent_pow`` as an
+independent route.
 
 Laurent products that mix a z^{1-p} principal part with power series are
 carried with enough internal margin that conclusions at the requested order
@@ -35,15 +36,14 @@ from functools import lru_cache
 
 from .faberkernel import a_field_direct, lambda_direct
 from .kirillov import make_L
-from .polyring import CoeffPoly, poly_div_int
+from .polyring import CoeffPoly
 from .reports import CheckReport, IdentityPair, report_from_pairs, series_pairs
 from .series import (
     LaurentSeries,
-    const_series,
     laurent_pow,
     ps_reversion,
+    reversion_powers,
     seed_series,
-    unit_pow,
     z_series,
     zero_series,
 )
@@ -79,36 +79,13 @@ def _reversion(order: int) -> LaurentSeries:
 def _reverse_powers(g: LaurentSeries, qmin: int, qmax: int) -> dict:
     """{q: g^q} for q in [qmin, qmax], where g = f^{-1} is known through z^o.
 
-    Lagrange inversion reads every power off the powers of f/w:
-
-        [z^m] g^q = (q/m) [w^(m-q)] (f/w)^(-m)      (m != 0),
-        [z^0] g^q = [w^(-q)] f'(w) (f/w)^(-1)       (Burmann form, q < 0),
-
-    so g^q is known through z^(o - 1 + q).  Each (f/w)^(-m) is one run of
-    the ``unit_pow`` kernel, through the highest w power any q reads, and is
-    dropped once every q has read it.  g itself (q = 1) is the reversion,
-    which passed its composition check.
+    Every other power is read off the seed by ``series.reversion_powers``,
+    so g^q is known through z^(o - 1 + q); g itself (q = 1) is the
+    reversion, which passed its composition check, and is not built again.
     """
-    o = g.order
-    f = seed_series(o)
-    h = f.shift(-1)
-    qs = [q for q in range(qmin, qmax + 1) if q not in (0, 1)]
-    coeffs = {q: [None] * o for q in qs}  # z^q .. z^(o-1+q)
-    for m in range(qmin, o + qmax):
-        readers = [q for q in qs if q <= m <= o - 1 + q]
-        if m and readers:
-            hm = unit_pow(h.truncate(m - readers[0]), -m)
-            for q in readers:
-                coeffs[q][m - q] = poly_div_int(hm.coefficient(m - q) * q, m)
-    if qmin < 0:
-        burmann = f.derivative() * unit_pow(h.truncate(-qmin), -1)
-        for q in qs:
-            if -o < q < 0:
-                coeffs[q][-q] = burmann.coefficient(-q)
-    pows = {q: LaurentSeries(q, c, o - 1 + q) for q, c in coeffs.items()}
-    if qmin <= 0 <= qmax:
-        pows[0] = const_series(1)
-    if qmin <= 1 <= qmax:
+    qs = range(qmin, qmax + 1)
+    pows = reversion_powers(seed_series(g.order), [q for q in qs if q != 1])
+    if 1 in qs:
         pows[1] = g
     return pows
 

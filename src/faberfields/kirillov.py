@@ -21,8 +21,7 @@ from typing import Callable
 from .faberkernel import AFieldTable, _elimination_family, a_field_direct, lambda_direct
 from .polyring import CoeffPoly, mono_div_at, mono_mul, poly_from_bucket
 from .reports import CheckReport, IdentityPair, report_from_pairs, series_pairs
-from .series import (LaurentSeries, LaurentWPoly, WPoly, _make, laurent_recip,
-                     seed_series)
+from .series import LaurentSeries, LaurentWPoly, WPoly, _make, seed_series, unit_pow
 
 
 class Derivation:
@@ -251,9 +250,9 @@ def inverse_deriv_coeffs(order: int) -> list[CoeffPoly]:
     """[B_0, B_1, ..., B_order] from 1/f'(z) = 1 + sum B_n z^n.
 
     Distinct from the A-table intermediates B_k^p: these are the expansion
-    coefficients of the reciprocal derivative.
+    coefficients of the reciprocal derivative, a run of the power kernel.
     """
-    inv = laurent_recip(seed_series(order + 2).derivative())
+    inv = unit_pow(seed_series(order + 2).derivative(), -1)
     return [inv.coefficient(n) for n in range(order + 1)]
 
 

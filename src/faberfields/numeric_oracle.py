@@ -26,7 +26,7 @@ import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .faberkernel import lambda_direct
 from .polyring import mono_values
@@ -197,13 +197,6 @@ def _relative_ok(lhs: complex, rhs: complex, tol: float) -> tuple[bool, float]:
     gap = abs(lhs - rhs)
     scale = max(1.0, abs(lhs), abs(rhs))
     return gap <= tol * scale, gap / scale
-
-
-def specialize_pair(pair: IdentityPair, values: Mapping[int, object],
-                    tol: float) -> tuple[bool, float]:
-    lhs = complex(pair.lhs.specialize(values))
-    rhs = complex(pair.rhs.specialize(values))
-    return _relative_ok(lhs, rhs, tol)
 
 
 def numeric_identity_sweep(pairs: Iterable[IdentityPair], draws: int = 25,

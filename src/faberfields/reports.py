@@ -89,10 +89,6 @@ class CheckReport:
         return lines
 
 
-def cell(ok: bool, detail: str = "", **indices: int) -> CheckCell:
-    return CheckCell(tuple(indices.items()), ok, detail)
-
-
 @dataclass(frozen=True)
 class IdentityPair:
     """One polynomial identity instance: lhs and rhs computed by separate routes.

@@ -110,7 +110,7 @@ class LaurentSeries:
     a principal part".
     """
 
-    __slots__ = ("valuation", "order", "coeffs", "_recip")
+    __slots__ = ("valuation", "order", "coeffs")
 
     def __init__(self, valuation: int, coeffs: Sequence, order=None):
         cleaned = [_coeff(c) for c in coeffs]
@@ -123,7 +123,6 @@ class LaurentSeries:
         self.valuation = v
         self.order = o
         self.coeffs = tup
-        self._recip = None
 
     # -- access --------------------------------------------------------------
 
@@ -308,7 +307,6 @@ def _make(data: dict[int, CoeffPoly], order) -> LaurentSeries:
     obj.valuation = v
     obj.order = o
     obj.coeffs = tup
-    obj._recip = None
     return obj
 
 
@@ -360,19 +358,7 @@ def laurent_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
 
 
 def laurent_recip(a: LaurentSeries) -> LaurentSeries:
-    """1/a for a series with invertible leading coefficient.
-
-    Memoized per instance; series are immutable so this is safe, and it lets
-    every caller walking negative powers share one inversion.
-    """
-    if a._recip is not None:
-        return a._recip
-    result = _laurent_recip_impl(a)
-    a._recip = result
-    return result
-
-
-def _laurent_recip_impl(a: LaurentSeries) -> LaurentSeries:
+    """1/a for a series with invertible leading coefficient."""
     v = a.effective_valuation()
     if v is INF or v > a.order:
         raise LeadingCoefficientError("cannot invert a series with no known nonzero term",
@@ -512,27 +498,59 @@ def ps_compose(outer: LaurentSeries, inner: LaurentSeries) -> LaurentSeries:
     return _make({j: poly_from_bucket(b) for j, b in buckets.items()}, target)
 
 
-def ps_reversion(a: LaurentSeries) -> LaurentSeries:
-    """Compositional inverse g of a = z + ..., with a(g(z)) = g(a(z)) = z.
+def reversion_powers(a: LaurentSeries, qs) -> dict:
+    """{q: g^q} for each integer q in ``qs``, where g is the compositional
+    inverse of a = z + ... known through z^o.
 
-    Lagrange inversion, g_m = (1/m) [w^(m-1)] (a/w)^(-m), each power by the
-    :func:`unit_pow` kernel; g is known through ``a.order``.  The result is
-    checked by composing back: g(a(z)) = z, which for a series z + ... is the
-    same exact statement as a(g(z)) = z, since a left inverse is also a right
-    inverse.  With a as the inner series, every power a^k in
-    :func:`ps_compose` is a product with a, which for the seed has
-    single-monomial coefficients.
+    Lagrange inversion reads every power off the powers of a/w:
+
+        [z^m] g^q = (q/m) [w^(m-q)] (a/w)^(-m)      (m != 0),
+        [z^0] g^q = [w^(-q)] a'(w) (a/w)^(-1)       (Burmann form, q < 0),
+
+    so g^q is known through z^(o - 1 + q), and g^0 = 1 exactly.  Each
+    (a/w)^(-m) is one run of the :func:`unit_pow` kernel, through the highest
+    w power any q reads, and is dropped once every q has read it.  Nothing
+    here checks the result; :func:`ps_reversion` composes g back to z.
     """
     if a.effective_valuation() != 1 or a.coefficient(1) != CoeffPoly.one() \
             or a.coefficient(0):
         raise SeriesError("reversion requires a series of the form z + higher order")
-    n = a.order
-    if n is INF:
+    o = a.order
+    if o is INF:
         raise SeriesError("reversion of an exact series is an infinite object; "
                           "truncate first")
     h = a.shift(-1)
-    g = _make({m: poly_div_int(unit_pow(h.truncate(m - 1), -m).coefficient(m - 1), m)
-               for m in range(1, n + 1)}, n)
+    qs = sorted(set(qs))
+    coeffs = {q: [None] * o for q in qs if q}  # z^q .. z^(o-1+q)
+    qmin, qmax = min(coeffs, default=0), max(coeffs, default=0)
+    for m in range(qmin, o + qmax):
+        readers = [q for q in coeffs if q <= m <= o - 1 + q]
+        if m and readers:
+            hm = unit_pow(h.truncate(m - readers[0]), -m)
+            for q in readers:
+                coeffs[q][m - q] = poly_div_int(hm.coefficient(m - q) * q, m)
+    if qmin < 0:
+        burmann = a.derivative() * unit_pow(h.truncate(-qmin), -1)
+        for q in coeffs:
+            if -o < q < 0:
+                coeffs[q][-q] = burmann.coefficient(-q)
+    pows = {q: _make(dict(enumerate(c, q)), o - 1 + q) for q, c in coeffs.items()}
+    if 0 in qs:
+        pows[0] = const_series(1)
+    return pows
+
+
+def ps_reversion(a: LaurentSeries) -> LaurentSeries:
+    """Compositional inverse g of a = z + ..., with a(g(z)) = g(a(z)) = z.
+
+    g is the q = 1 entry of :func:`reversion_powers`, known through
+    ``a.order``.  The result is checked by composing back: g(a(z)) = z, which
+    for a series z + ... is the same exact statement as a(g(z)) = z, since a
+    left inverse is also a right inverse.  With a as the inner series, every
+    power a^k in :func:`ps_compose` is a product with a, which for the seed
+    has single-monomial coefficients.
+    """
+    g = reversion_powers(a, (1,))[1]
     if not (ps_compose(g, a) - z_series()).is_zero():
         raise SeriesError("reversion failed its composition self-check")
     return g

@@ -31,14 +31,11 @@ class Suite:
     flags: tuple[str, ...] = ()
 
 
-def _route_pairs(n, afield):
-    return faberkernel.route_equivalence_pairs(n, n, n, n, afield, afield)
-
-
 _SUITES: dict[str, Suite] = {
     "grunsky-symmetry": Suite(faberkernel.grunsky_symmetry_pairs, ("n", "k"),
                               {"N": 12}, lambda o: {"N": o}),
-    "routes": Suite(_route_pairs, faberkernel.ROUTE_KEYS, {"n": 10, "afield": 8},
+    "routes": Suite(faberkernel.route_equivalence_pairs, faberkernel.ROUTE_KEYS,
+                    {"n": 10, "afield": 8},
                     lambda o: {"n": o, "afield": max(min(o, 8), 1)}),
     "elimination": Suite(faberkernel.elimination_pairs, ("p", "m"), {"pmax": 8},
                          lambda o: {"pmax": o}, ("pmax",)),

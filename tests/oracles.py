@@ -11,6 +11,7 @@ from faberfields.series import (
     LaurentSeries,
     SeriesError,
     divided_difference,
+    laurent_pow,
     laurent_recip,
     ps_div,
     seed_series,
@@ -185,3 +186,20 @@ def partial_sum_apply(D, target: CoeffPoly) -> CoeffPoly:
         if dj:
             out = out + D.coefficient(j) * dj
     return out
+
+
+def recip_r_series(order: int) -> LaurentSeries:
+    """r(z) = z / f(z) through z^order, as the reciprocal series of f/z."""
+    return laurent_recip(seed_series(order + 1).shift(-1))
+
+
+def squared_s_series(order: int) -> LaurentSeries:
+    """S(z) = (f'(z) r(z))^2 through z^order, a dense x dense square."""
+    fprime = seed_series(order + 1).derivative()
+    return laurent_pow(fprime * recip_r_series(order), 2)
+
+
+def recip_inverse_deriv_coeffs(order: int) -> list:
+    """[B_0 .. B_order] of 1/f'(z) = 1 + sum B_n z^n, by the reciprocal series."""
+    inv = laurent_recip(seed_series(order + 2).derivative())
+    return [inv.coefficient(n) for n in range(order + 1)]

@@ -150,7 +150,7 @@ def test_criterion_02_grunsky_symmetry(capsys):
 
 def test_criterion_03_route_equivalence(capsys):
     t0 = time.perf_counter()
-    report = fk.route_equivalence_check(10, 10, 10, 10, 8, 8)
+    report = fk.route_equivalence_check(10, 8)
     elapsed = time.perf_counter() - t0
     _report(capsys, 3, report.passed,
             "route equivalence: grunsky/t/diag/lambda (<=10), afield (<=8), exact",

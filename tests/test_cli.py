@@ -166,6 +166,16 @@ class TestCheck:
         assert code == 2
         assert "no identity pair" in err
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "random"),
+                                             ("--rand-seed", "99"), ("--bound", "3.0")])
+    def test_seed_flags_are_not_options(self, capsys, flag, value):
+        # check always runs the generic seed (and the Koebe seed of --rho for
+        # the contour), so a seed flag it would ignore is refused.
+        code, out, err = run(capsys, "check", "--suite", "recursion", flag, value)
+        assert code == 2
+        assert not out
+        assert "unrecognized arguments" in err
+
     def test_suite_help_lists_registry(self, capsys):
         assert main(["check", "--help"]) == 0
         assert "negative-action" in capsys.readouterr().out

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +31,8 @@ from faberfields.faberkernel import (
     t_from_faber,
     t_polys,
 )
+from faberfields.inversion import _reverse_powers, _reversion
+from faberfields.kirillov import inverse_deriv_coeffs
 from faberfields.polyring import CoeffPoly, c
 from faberfields.series import (
     LaurentWPoly,
@@ -43,8 +47,11 @@ from faberfields.series import (
 from .oracles import (
     dense_grunsky_log,
     horner_grunsky_compose,
+    recip_inverse_deriv_coeffs,
+    recip_r_series,
     scale_add_eval,
     seed_order_elimination_family,
+    squared_s_series,
 )
 
 c1, c2, c3 = c(1), c(2), c(3)
@@ -52,6 +59,31 @@ one = CoeffPoly.one()
 zero = CoeffPoly.zero()
 
 ZERO_VALUES = {n: 0 for n in range(1, 40)}
+
+
+#: The product-based routes that no table builder may reach: the reciprocal
+#: series, the repeated-product power and evaluation by walking powers.
+PRODUCT_ROUTES = ((series, "laurent_recip"), (series, "laurent_pow"),
+                  (series.WPoly, "eval_at"), (series.LaurentWPoly, "eval_at"))
+
+
+def refuse_everywhere(monkeypatch, targets, message):
+    """Make each (owner, name) in ``targets`` raise under every name that
+    binds it in a ``faberfields`` module or class, so a module that imported
+    it by value is covered too."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(message)
+
+    originals = [vars(owner)[name] for owner, name in targets]
+    for modname, mod in list(sys.modules.items()):
+        if mod is None or modname.split(".")[0] != "faberfields":
+            continue
+        owners = [mod] + [obj for obj in vars(mod).values()
+                          if isinstance(obj, type) and obj.__module__ == modname]
+        for owner in owners:
+            for key, value in list(vars(owner).items()):
+                if any(value is orig for orig in originals):
+                    monkeypatch.setattr(owner, key, refuse)
 
 
 def specialized_entries(obj, values):
@@ -182,29 +214,19 @@ class TestGrunsky:
 
     def test_compose_avoids_reciprocal_and_horner(self, monkeypatch):
         # The compose route reads F_n(1/f) off kernel powers f^-m; the
-        # reciprocal series and Horner evaluation stay with the oracle.
-        faber_polys(3)  # its generating series divides by f, before the patch
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the compose route reached a reciprocal or Horner step")
-
-        monkeypatch.setattr(faberkernel, "laurent_recip", refuse)
-        monkeypatch.setattr(series, "laurent_recip", refuse)
-        monkeypatch.setattr(WPoly, "eval_at", refuse)
+        # reciprocal series and evaluation by walking powers stay with the
+        # oracle.
+        refuse_everywhere(monkeypatch, PRODUCT_ROUTES,
+                          "the compose route reached a reciprocal or Horner step")
         table = grunsky_compose.__wrapped__(3, 3)
         assert table.beta(1, 1) == c1 * c1 - c2
 
     def test_log_route_avoids_reciprocal_and_power_kernels(self, monkeypatch):
         # grunsky_compose and the power ladders stand on these; the log route
         # must not, or the two routes of the Grunsky check share code.
-        def refuse(*args, **kwargs):
-            raise AssertionError("the log route reached a reciprocal or power kernel")
-
-        for module, name in ((series, "unit_pow"), (series, "laurent_recip"),
-                             (series, "laurent_pow"), (faberkernel, "unit_pow"),
-                             (faberkernel, "laurent_recip"), (faberkernel, "laurent_pow"),
-                             (faberkernel, "_r_series"), (faberkernel, "_f_power")):
-            monkeypatch.setattr(module, name, refuse)
+        refuse_everywhere(monkeypatch, PRODUCT_ROUTES + (
+            (series, "unit_pow"), (faberkernel, "_r_series"), (faberkernel, "_f_power")),
+            "the log route reached a reciprocal or power kernel")
         table = grunsky_log.__wrapped__(6, 6)
         assert table.beta(1, 1) == c1 * c1 - c2
 
@@ -364,6 +386,37 @@ class TestSeedPowers:
             assert got == want.truncate(top), p
 
 
+class TestOneKernel:
+    """Every table builder reaches powers of the seed only through unit_pow."""
+
+    #: Arguments for every cached builder of ``faberkernel``.
+    BUILDER_ARGS = {
+        "_seed": (6,), "_r_series": (6,), "_s_series": (6,), "faber_polys": (4,),
+        "t_polys": (4,), "t_from_faber": (4,), "diag_a": (4,), "diag_a_grunsky": (4,),
+        "grunsky_log": (3, 3), "grunsky_compose": (3, 3), "lambda_direct": (4,),
+        "lambda_from_t": (4,), "_elimination_family": (4, 6),
+        "a_field_direct": (3, 4), "a_field_grunsky": (3, 4),
+    }
+
+    def test_builders_avoid_product_routes(self, monkeypatch):
+        builders = {name for name, obj in vars(faberkernel).items()
+                    if hasattr(obj, "cache_info")}
+        assert builders == set(self.BUILDER_ARGS)
+        refuse_everywhere(monkeypatch, PRODUCT_ROUTES,
+                          "a builder reached a reciprocal, product power or evaluator")
+        for name, args in self.BUILDER_ARGS.items():
+            getattr(faberkernel, name).__wrapped__(*args)
+        inverse_deriv_coeffs(8)
+        pows = _reverse_powers(_reversion.__wrapped__(10), -4, 4)
+        assert sorted(pows) == list(range(-4, 5))
+
+    @pytest.mark.parametrize("order", range(13))
+    def test_against_reciprocal_and_square(self, order):
+        assert faberkernel._r_series(order) == recip_r_series(order)
+        assert faberkernel._s_series(order) == squared_s_series(order)
+        assert inverse_deriv_coeffs(order) == recip_inverse_deriv_coeffs(order)
+
+
 class TestEvalOnPowers:
     @pytest.mark.parametrize("N, K", [(1, 1), (3, 4), (5, 6)])
     def test_matches_scale_and_add(self, N, K):
@@ -449,7 +502,7 @@ class TestGenIdentity:
 
 class TestRouteReport:
     def test_report_structure(self):
-        report = route_equivalence_check(3, 3, 3, 3, 2, 2)
+        report = route_equivalence_check(3, 2)
         assert report.passed
         assert report.suite == "routes"
         assert all(cell.ok for cell in report.cells)

@@ -11,7 +11,6 @@ from faberfields.numeric_oracle import (
     koebe_seed,
     numeric_identity_sweep,
     random_seed,
-    specialize_pair,
     zero_seed,
 )
 from faberfields.polyring import CoeffPoly, c, mono_values
@@ -124,12 +123,6 @@ class TestContour:
 
 
 class TestSweep:
-    def test_zero_specialization_trivial(self):
-        zero_vals = {n: 0 for n in range(1, 20)}
-        pairs = [IdentityPair("demo", (("i", 0),), c(1) * c(2), CoeffPoly.zero())]
-        ok, rel = specialize_pair(pairs[0], zero_vals, 1e-12)
-        assert ok and rel == 0
-
     def test_grunsky_symmetry_sweep(self):
         from faberfields.faberkernel import grunsky_symmetry_pairs
 

@@ -30,6 +30,7 @@ from faberfields.series import (
     ps_mul,
     ps_reversion,
     ps_scale,
+    reversion_powers,
     seed_series,
     series_agree,
     unit_pow,
@@ -349,6 +350,28 @@ class TestReversion:
         assert series_agree(back, z_series(), through=back.order) is None
         forth = ps_compose(g, a)
         assert series_agree(forth, z_series(), through=forth.order) is None
+
+
+class TestReversionPowers:
+    """The one Lagrange-Burmann loop against the reversion and products."""
+
+    @given(reversible_series)
+    @settings(max_examples=30, deadline=None)
+    def test_against_reversion_and_laurent_pow(self, a):
+        pows = reversion_powers(a, range(-4, 5))
+        g = ps_reversion(a)
+        assert pows[1] == g
+        assert pows[0] == const_series(1)
+        for q in range(-4, 5):
+            if q:
+                assert pows[q].order == a.order - 1 + q, q
+                assert pows[q] == laurent_pow(g, q).truncate(pows[q].order), q
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(SeriesError, match="z \\+ higher order"):
+            reversion_powers(PowerSeries([0, 2], order=3), (-1, 1))
+        with pytest.raises(SeriesError, match="infinite object"):
+            reversion_powers(z_series(), (-1, 1))
 
 
 def _integral(s: LaurentSeries) -> bool:
