@@ -1,7 +1,7 @@
 """Exact computer algebra for Faber polynomials, Grunsky coefficients and
 Kirillov-type vector fields on the coefficients of univalent power series."""
 
-from .polyring import CoeffPoly, MissingVariableError, Monomial, Rational, c
+from .polyring import CoeffPoly, MissingVariableError, Monomial, c
 from .series import (
     BiSeries,
     LaurentSeries,
@@ -10,19 +10,12 @@ from .series import (
     PowerSeries,
     WPoly,
     divided_difference,
-    laurent_mul,
     laurent_pow,
     laurent_recip,
-    ps_add,
     ps_compose,
-    ps_div,
     ps_log,
-    ps_mul,
     ps_reversion,
-    ps_scale,
     seed_series,
-    wpoly_eval_laurent,
-    wpoly_reciprocal_substitute,
 )
 from .faberkernel import (
     AFieldTable,
@@ -36,35 +29,26 @@ from .faberkernel import (
     a_field_grunsky,
     diag_a,
     diag_a_grunsky,
-    elimination_check,
     elimination_series,
-    faber_derivative_identity_check,
     faber_polys,
-    gen_identity_check,
     grunsky_compose,
     grunsky_log,
     grunsky_symmetry_check,
     lambda_direct,
     lambda_from_t,
-    phi_generating_check,
     phi_p,
-    route_equivalence_check,
     t_from_faber,
     t_polys,
 )
 from .kirillov import (
     Derivation,
-    apply,
     check_negative_action,
-    check_recursion,
     check_thm42,
-    commutation_check,
     inverse_deriv_coeffs,
     lemma41_check,
     make_L,
     negative_action_report,
     partial_derivation,
-    partial_via_L,
     sample_polynomials,
 )
 from .inversion import (

@@ -278,6 +278,9 @@ def _cmd_check(args):
         checked = args.suite in (name, "all")
         if checked or include_sweep:
             pairs = list(suites.suite_pairs(name, args.order, **overrides))
+            if not pairs:
+                raise UsageError(f"suite {name}: no identity pair at these sizes, "
+                                 f"so nothing to check")
             if checked:
                 reports.append(suites.suite_report(name, pairs))
             swept += pairs

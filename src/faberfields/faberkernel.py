@@ -317,7 +317,7 @@ def grunsky_log(N: int, K: int) -> GrunskyTable:
         rows[0][j] = f.coefficient(j)  # f(v)
     for i in range(1, N + 1):
         rows[i][0] = -f.coefficient(i)  # - f(u)
-    P = BiSeries(rows, N, nv, 0, False)
+    P = BiSeries(rows, N, nv)
     D = divided_difference(P)  # rectangle (N, K)
     L = bi_log_in_u(D)  # log(D / h(v)); the u^0 and v^0 lines are not read
     entries = {}
@@ -515,11 +515,6 @@ def faber_derivative_pairs(N: int):
                                lhs.coefficient(m), rhs.coefficient(m))
 
 
-def faber_derivative_identity_check(N: int) -> CheckReport:
-    """Check f(z)/(1 - w f(z)) = sum_n F'_n(w) z^n / n coefficientwise."""
-    return report_from_pairs("faber-derivative", faber_derivative_pairs(N), ("n",))
-
-
 def grunsky_symmetry_pairs(N: int):
     """k beta_{n,k} = n beta_{k,n} for 1 <= n, k <= N."""
     table = grunsky_log(N, N)
@@ -532,15 +527,6 @@ def grunsky_symmetry_pairs(N: int):
 def grunsky_symmetry_check(N: int) -> CheckReport:
     """k beta_{n,k} = n beta_{k,n} for 1 <= n, k <= N, exactly."""
     return report_from_pairs("grunsky-symmetry", grunsky_symmetry_pairs(N), ("n", "k"))
-
-
-#: Every index the route pairs carry: each pair is a cell of its own.
-ROUTE_KEYS = ("n", "k", "m", "p", "e")
-
-
-def route_equivalence_check(n: int = 10, afield: int = 8) -> CheckReport:
-    """Exact equality of every dual-route construction."""
-    return report_from_pairs("routes", route_equivalence_pairs(n, afield), ROUTE_KEYS)
 
 
 def route_equivalence_pairs(n: int = 10, afield: int = 8):
@@ -593,11 +579,6 @@ def elimination_pairs(pmax: int):
                                e.coefficient(m), CoeffPoly.zero())
 
 
-def elimination_check(pmax: int) -> CheckReport:
-    """elimination_pairs as a report, one cell per power z^m of each E_p."""
-    return report_from_pairs("elimination", elimination_pairs(pmax), ("p", "m"))
-
-
 def _gen_identity_rows(P: int, K: int):
     """Rows of the generating function for A_k^p, expanded for |u| < |v|.
 
@@ -628,10 +609,6 @@ def gen_identity_pairs(pmax: int, kmax: int):
                                row.coefficient(j), want)
 
 
-def gen_identity_check(P: int, K: int) -> CheckReport:
-    return report_from_pairs("gen-identity", gen_identity_pairs(P, K), ("p", "k"))
-
-
 def _phi_generating_rows(xi_max: int, z_max: int):
     """xi^p coefficients of S(xi) f(z)^2 / (f(xi) - f(z)), Laurent in z.
 
@@ -652,8 +629,3 @@ def phi_generating_pairs(xi_max: int, z_max: int):
     for p, row in enumerate(_phi_generating_rows(xi_max, z_max)):
         yield from series_pairs("phi-generating", (("p", p),), row,
                                 phi_p(p, z_max), z_max)
-
-
-def phi_generating_check(xi_max: int, z_max: int) -> CheckReport:
-    return report_from_pairs("phi-generating", phi_generating_pairs(xi_max, z_max),
-                             ("p",))

@@ -153,10 +153,6 @@ def make_L(k: int, afield: AFieldTable | None = None) -> Derivation:
     return Derivation(f"L_{k}", entry, max_entry=afield.n_max)
 
 
-def apply(D: Derivation, target):
-    return D.apply(target)
-
-
 # -- check suites -----------------------------------------------------------------
 #
 # Each identity is one generator of IdentityPair instances; its check is the
@@ -242,10 +238,6 @@ def recursion_pairs(pmax: int):
                                  lams.poly(p).scale(p + 2))
 
 
-def check_recursion(pmax: int) -> CheckReport:
-    return report_from_pairs("recursion", recursion_pairs(pmax), ("p",))
-
-
 def inverse_deriv_coeffs(order: int) -> list[CoeffPoly]:
     """[B_0, B_1, ..., B_order] from 1/f'(z) = 1 + sum B_n z^n.
 
@@ -276,13 +268,8 @@ def lemma41_pairs(kmax: int, mmax: int, kmin: int = 1):
             yield IdentityPair("lemma41", (("k", k), ("m", m)), acc, want)
 
 
-def partial_via_L(k: int, mmax: int) -> CheckReport:
-    """lemma41_pairs for the single index k."""
-    return report_from_pairs("lemma41", lemma41_pairs(k, mmax, k), ("k", "m"))
-
-
 def lemma41_check(kmax: int, mmax: int) -> CheckReport:
-    """partial_via_L over a rectangle of (k, m)."""
+    """lemma41_pairs over a rectangle of (k, m)."""
     return report_from_pairs("lemma41", lemma41_pairs(kmax, mmax), ("k", "m"))
 
 
@@ -323,11 +310,3 @@ def commutation_pairs(nmax: int, jmax: int, samples=None, nmin: int = 1,
                 rhs = lj.apply_poly(dn.apply_poly(target)) + dnj.apply_poly(target) * (n + 1)
                 yield IdentityPair("commutation", (("n", n), ("j", j), ("sample", idx)),
                                    lhs, rhs)
-
-
-def commutation_check(n: int, j: int, samples=None) -> CheckReport:
-    """commutation_pairs for the single index pair (n, j)."""
-    if n < 1 or j < 1:
-        raise ValueError("need n, j >= 1")
-    return report_from_pairs("commutation", commutation_pairs(n, j, samples, n, j),
-                             ("n", "j", "sample"))

@@ -33,8 +33,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-Rational = Fraction
-
 #: A monomial: sorted tuple of (variable index, exponent) pairs.
 Monomial = tuple
 
@@ -521,31 +519,6 @@ def poly_div_int(a: CoeffPoly, n: int, exact: bool = False) -> CoeffPoly:
     res = CoeffPoly.__new__(CoeffPoly)
     res._terms = out
     return res
-
-
-# -- spec-level operation names ---------------------------------------------
-
-def poly_add(a: CoeffPoly, b: CoeffPoly) -> CoeffPoly:
-    """Exact sum in canonical form."""
-    return a + b
-
-
-def poly_mul(a: CoeffPoly, b: CoeffPoly) -> CoeffPoly:
-    """Exact product; weights of terms add."""
-    return a * b
-
-
-def partial(a: CoeffPoly, j: int) -> CoeffPoly:
-    """Formal partial derivative with respect to c_j."""
-    return a.partial(j)
-
-
-def weight_components(a: CoeffPoly) -> dict[int, CoeffPoly]:
-    return a.weight_components()
-
-
-def specialize(a: CoeffPoly, values: Mapping[int, object]):
-    return a.specialize(values)
 
 
 def c(j: int) -> CoeffPoly:

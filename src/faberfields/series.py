@@ -338,23 +338,7 @@ def seed_series(N: int) -> PowerSeries:
     return _make(data, N)
 
 
-# -- spec-level operations ------------------------------------------------------
-
-
-def ps_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    return a + b
-
-
-def ps_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    return a * b
-
-
-def ps_scale(a: LaurentSeries, s) -> LaurentSeries:
-    return a.scale(s)
-
-
-def laurent_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    return a * b
+# -- series operations -----------------------------------------------------------
 
 
 def laurent_recip(a: LaurentSeries) -> LaurentSeries:
@@ -443,11 +427,6 @@ def unit_pow(h: LaurentSeries, alpha: int) -> PowerSeries:
     return _make(dict(enumerate(b)), h.order)
 
 
-def ps_div(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    """a/b; b needs an invertible (nonzero rational) leading coefficient."""
-    return a * laurent_recip(b)
-
-
 def ps_log(a: LaurentSeries) -> LaurentSeries:
     """Formal logarithm of a series with constant term exactly 1.
 
@@ -462,7 +441,7 @@ def ps_log(a: LaurentSeries) -> LaurentSeries:
     if a.order is INF:
         raise SeriesError("logarithm of an exact series is an infinite object; "
                           "truncate first")
-    return ps_div(a.derivative(), a).integrate(0)
+    return (a.derivative() / a).integrate(0)
 
 
 def ps_compose(outer: LaurentSeries, inner: LaurentSeries) -> LaurentSeries:
@@ -774,70 +753,46 @@ class LaurentWPoly:
                     for e, t in data["exponents"].items()})
 
 
-def wpoly_eval_laurent(P: WPoly, at: LaurentSeries) -> LaurentSeries:
-    return P.eval_at(at)
-
-
-def wpoly_reciprocal_substitute(P: WPoly) -> LaurentWPoly:
-    return P.reciprocal_substitute()
-
-
 # -- bivariate series -------------------------------------------------------------
 
 
 class BiSeries:
     """Rectangularly truncated series in (u, v) with CoeffPoly entries.
 
-    ``rows[i][j - vmin]`` is the coefficient of ``u^i v^j``.  The second
-    variable may carry a finite Laurent range (``vmin < 0``).  ``exact``
-    marks a finite polynomial whose entries outside the rectangle are zero
-    rather than unknown.
+    ``rows[i][j]`` is the coefficient of ``u^i v^j`` for i <= nu, j <= nv;
+    entries past the rectangle are unknown, and negative powers are zero.
     """
 
-    __slots__ = ("nu", "nv", "vmin", "rows", "exact")
+    __slots__ = ("nu", "nv", "rows")
 
-    def __init__(self, rows: Sequence[Sequence], nu: int, nv: int,
-                 vmin: int = 0, exact: bool = False):
+    def __init__(self, rows: Sequence[Sequence], nu: int, nv: int):
         if len(rows) != nu + 1:
             raise ValueError("expected one row per u power 0..nu")
-        width = nv - vmin + 1
         frozen = []
         for r in rows:
-            if len(r) != width:
-                raise ValueError("row width must cover v^vmin..v^nv")
+            if len(r) != nv + 1:
+                raise ValueError("row width must cover v^0..v^nv")
             frozen.append(tuple(_coeff(c) for c in r))
         self.rows = tuple(frozen)
         self.nu = nu
         self.nv = nv
-        self.vmin = vmin
-        self.exact = exact
-
-    @classmethod
-    def zeros(cls, nu: int, nv: int, vmin: int = 0, exact: bool = False) -> "BiSeries":
-        z = CoeffPoly.zero()
-        return cls([[z] * (nv - vmin + 1) for _ in range(nu + 1)], nu, nv, vmin, exact)
 
     def coefficient(self, i: int, j: int) -> CoeffPoly:
-        if i < 0:
+        if i < 0 or j < 0:
             return CoeffPoly.zero()
         if i > self.nu or j > self.nv:
-            if self.exact:
-                return CoeffPoly.zero()
             raise OrderError((i, j), (self.nu, self.nv))
-        if j < self.vmin:
-            return CoeffPoly.zero()
-        return self.rows[i][j - self.vmin]
+        return self.rows[i][j]
 
     def __eq__(self, other):
         if not isinstance(other, BiSeries):
             return NotImplemented
-        return (self.nu, self.nv, self.vmin, self.exact, self.rows) == \
-               (other.nu, other.nv, other.vmin, other.exact, other.rows)
+        return (self.nu, self.nv, self.rows) == (other.nu, other.nv, other.rows)
 
     def diagonal_sum(self, d: int) -> CoeffPoly:
         """Coefficient of t^d in the restriction to u = v = t."""
         s = CoeffPoly.zero()
-        for i in range(0, d - self.vmin + 1):
+        for i in range(d + 1):
             s = s + self.coefficient(i, d - i)
         return s
 
@@ -848,18 +803,12 @@ def divided_difference(P: BiSeries) -> BiSeries:
     The diagonal condition is checked symbolically up to the truncation;
     a violation reports the first offending total degree.
     """
-    if P.vmin != 0:
-        raise SeriesError("divided difference requires a non-Laurent second variable")
-    dmax = P.nu + P.nv if P.exact else min(P.nu, P.nv)
-    for d in range(dmax + 1):
+    for d in range(min(P.nu, P.nv) + 1):
         if P.diagonal_sum(d):
             raise DiagonalError(d)
-    if P.exact:
-        nu, nv = P.nu, P.nv
-    else:
-        nu, nv = P.nu, P.nv - P.nu - 1
-        if nv < 0:
-            raise SeriesError("v-order too small to divide by (v - u)")
+    nu, nv = P.nu, P.nv - P.nu - 1
+    if nv < 0:
+        raise SeriesError("v-order too small to divide by (v - u)")
     rows = []
     for i in range(nu + 1):
         row = []
@@ -869,7 +818,7 @@ def divided_difference(P: BiSeries) -> BiSeries:
                 s = s + P.coefficient(i - t, j + 1 + t)
             row.append(s)
         rows.append(row)
-    return BiSeries(rows, nu, nv, 0, P.exact)
+    return BiSeries(rows, nu, nv)
 
 
 def bi_log_in_u(Q: BiSeries) -> BiSeries:
@@ -888,8 +837,6 @@ def bi_log_in_u(Q: BiSeries) -> BiSeries:
     ``(f(u) - f(v)) / (u - v)``, every product multiplies a dense
     coefficient by one monomial.
     """
-    if Q.vmin != 0:
-        raise SeriesError("bivariate log requires a non-Laurent second variable")
     if Q.rows[0][0] != CoeffPoly.one():
         raise SeriesError("bivariate log requires the u^0 row to have constant term 1")
     nv = Q.nv
@@ -909,4 +856,4 @@ def bi_log_in_u(Q: BiSeries) -> BiSeries:
     rows = [[CoeffPoly.zero()] * (nv + 1)]
     for i in range(1, Q.nu + 1):
         rows.append([c * Fraction(1, i) for c in W[i - 1]])
-    return BiSeries(rows, Q.nu, Q.nv, 0, False)
+    return BiSeries(rows, Q.nu, Q.nv)

@@ -34,7 +34,8 @@ class Suite:
 _SUITES: dict[str, Suite] = {
     "grunsky-symmetry": Suite(faberkernel.grunsky_symmetry_pairs, ("n", "k"),
                               {"N": 12}, lambda o: {"N": o}),
-    "routes": Suite(faberkernel.route_equivalence_pairs, faberkernel.ROUTE_KEYS,
+    # Every index a route pair carries, so each pair is a cell of its own.
+    "routes": Suite(faberkernel.route_equivalence_pairs, ("n", "k", "m", "p", "e"),
                     {"n": 10, "afield": 8},
                     lambda o: {"n": o, "afield": max(min(o, 8), 1)}),
     "elimination": Suite(faberkernel.elimination_pairs, ("p", "m"), {"pmax": 8},

@@ -13,7 +13,6 @@ from faberfields.series import (
     divided_difference,
     laurent_pow,
     laurent_recip,
-    ps_div,
     seed_series,
     z_series,
     zero_series,
@@ -57,7 +56,7 @@ def newton_reversion(a: LaurentSeries) -> LaurentSeries:
         err = horner_compose(a, g.truncate(n)) - ident
         if err.is_zero():
             break
-        g = g - ps_div(err, horner_compose(da, g.truncate(n)))
+        g = g - err / horner_compose(da, g.truncate(n))
     return g.truncate(n)
 
 
@@ -67,8 +66,6 @@ def unit_row_bi_log(Q: BiSeries) -> BiSeries:
     Solves W = Q_u / Q row by row in u with dense row products, and
     integrates back; the u^0 row of the result is 0.
     """
-    if Q.vmin != 0:
-        raise SeriesError("bivariate log requires a non-Laurent second variable")
     one_row = tuple([CoeffPoly.one()] + [CoeffPoly.zero()] * Q.nv)
     if Q.rows[0] != one_row:
         raise SeriesError("bivariate log requires the u^0 row to be exactly 1")
@@ -91,7 +88,7 @@ def unit_row_bi_log(Q: BiSeries) -> BiSeries:
     rows = [[CoeffPoly.zero()] * (nv + 1)]
     for i in range(1, Q.nu + 1):
         rows.append([c * Fraction(1, i) for c in W[i - 1]])
-    return BiSeries(rows, Q.nu, Q.nv, 0, False)
+    return BiSeries(rows, Q.nu, Q.nv)
 
 
 def dense_log_kernel(N: int, K: int) -> BiSeries:
@@ -109,7 +106,7 @@ def dense_log_kernel(N: int, K: int) -> BiSeries:
         rows[i][1] = rows[i][1] + r.coefficient(i)  # v * r(u)
     for j in range(nv + 1):
         rows[1][j] = rows[1][j] - r.coefficient(j)  # - u * r(v)
-    return divided_difference(BiSeries(rows, N, nv, 0, False))
+    return divided_difference(BiSeries(rows, N, nv))
 
 
 def dense_grunsky_log(N: int, K: int) -> dict:

@@ -150,7 +150,7 @@ def test_criterion_02_grunsky_symmetry(capsys):
 
 def test_criterion_03_route_equivalence(capsys):
     t0 = time.perf_counter()
-    report = fk.route_equivalence_check(10, 8)
+    report = suites.suite_report("routes", fk.route_equivalence_pairs(10, 8))
     elapsed = time.perf_counter() - t0
     _report(capsys, 3, report.passed,
             "route equivalence: grunsky/t/diag/lambda (<=10), afield (<=8), exact",
@@ -159,7 +159,7 @@ def test_criterion_03_route_equivalence(capsys):
 
 def test_criterion_04_elimination(capsys):
     t0 = time.perf_counter()
-    report = fk.elimination_check(8)
+    report = suites.suite_report("elimination", fk.elimination_pairs(8))
     elapsed = time.perf_counter() - t0
     _report(capsys, 4, report.passed,
             "elimination: no z^m, m <= 1, in z^(1-p) f' + Lambda_p(f), "
@@ -169,7 +169,7 @@ def test_criterion_04_elimination(capsys):
 def test_criterion_05_ladder_action(capsys):
     t0 = time.perf_counter()
     matrix = kv.check_thm42(5, 8)
-    recursion = kv.check_recursion(8)
+    recursion = suites.suite_report("recursion", kv.recursion_pairs(8))
     elapsed = time.perf_counter() - t0
     _report(capsys, 5, matrix.passed and recursion.passed,
             "ladder action on Lambda family, k <= 5, p <= 8, plus k = 1 "
@@ -179,18 +179,17 @@ def test_criterion_05_ladder_action(capsys):
 def test_criterion_06_partial_resolution_and_commutation(capsys):
     t0 = time.perf_counter()
     lemma = kv.lemma41_check(4, 12)
-    comm_ok = all(kv.commutation_check(n, j).passed
-                  for n in range(1, 5) for j in range(1, 5))
+    comm = suites.suite_report("commutation", kv.commutation_pairs(4, 4))
     elapsed = time.perf_counter() - t0
-    _report(capsys, 6, lemma.passed and comm_ok,
+    _report(capsys, 6, lemma.passed and comm.passed,
             "partial-derivative resolution (m <= 12, k <= 4) and commutation "
             "rule on 20 samples, exact", elapsed)
 
 
 def test_criterion_07_generating_identities(capsys):
     t0 = time.perf_counter()
-    gen = fk.gen_identity_check(8, 8)
-    phi = fk.phi_generating_check(6, 10)
+    gen = suites.suite_report("gen-identity", fk.gen_identity_pairs(8, 8))
+    phi = suites.suite_report("phi-generating", fk.phi_generating_pairs(6, 10))
     elapsed = time.perf_counter() - t0
     _report(capsys, 7, gen.passed and phi.passed,
             "bivariate generating identities: A table on 8x8 with negative-"

@@ -166,6 +166,13 @@ class TestCheck:
         assert code == 2
         assert "no identity pair" in err
 
+    def test_swept_suite_without_cells_is_an_error(self, capsys):
+        # The sweep alone would drop negative-action's pairs and still pass.
+        code, out, err = run(capsys, "check", "--suite", "sweep", "--pmax", "0")
+        assert code == 2
+        assert not out
+        assert "suite negative-action: no identity pair" in err
+
     @pytest.mark.parametrize("flag, value", [("--seed", "random"),
                                              ("--rand-seed", "99"), ("--bound", "3.0")])
     def test_seed_flags_are_not_options(self, capsys, flag, value):

@@ -14,20 +14,19 @@ from faberfields.faberkernel import (
     a_field_grunsky,
     diag_a,
     diag_a_grunsky,
-    elimination_check,
     elimination_pairs,
     elimination_series,
-    faber_derivative_identity_check,
+    faber_derivative_pairs,
     faber_polys,
-    gen_identity_check,
+    gen_identity_pairs,
     grunsky_compose,
     grunsky_log,
     grunsky_symmetry_check,
     lambda_direct,
     lambda_from_t,
-    phi_generating_check,
+    phi_generating_pairs,
     phi_p,
-    route_equivalence_check,
+    route_equivalence_pairs,
     t_from_faber,
     t_polys,
 )
@@ -43,6 +42,7 @@ from faberfields.series import (
     seed_series,
     series_agree,
 )
+from faberfields.suites import suite_report
 
 from .oracles import (
     dense_grunsky_log,
@@ -121,7 +121,7 @@ class TestFaberFamily:
             faber_polys(3).poly(4)
 
     def test_derivative_identity(self):
-        assert faber_derivative_identity_check(6).passed
+        assert suite_report("faber-derivative", faber_derivative_pairs(6)).passed
 
 
 class TestTFamily:
@@ -295,7 +295,7 @@ class TestPhi:
         assert all(not v for m, v in vals.items() if m != -2)
 
     def test_generating_form(self):
-        assert phi_generating_check(4, 7).passed
+        assert suite_report("phi-generating", phi_generating_pairs(4, 7)).passed
 
 
 class TestAField:
@@ -341,7 +341,7 @@ class TestAField:
 
 class TestElimination:
     def test_small(self):
-        assert elimination_check(4).passed
+        assert suite_report("elimination", elimination_pairs(4)).passed
 
     def test_perturbation_breaks_elimination(self):
         # The elimination property pins Lambda_p uniquely: bumping any single
@@ -483,7 +483,7 @@ class TestEliminationSeries:
 
 class TestGenIdentity:
     def test_small_rectangle(self):
-        report = gen_identity_check(3, 3)
+        report = suite_report("gen-identity", gen_identity_pairs(3, 3))
         assert report.passed
 
     def test_first_cells(self):
@@ -502,7 +502,7 @@ class TestGenIdentity:
 
 class TestRouteReport:
     def test_report_structure(self):
-        report = route_equivalence_check(3, 2)
+        report = suite_report("routes", route_equivalence_pairs(3, 2))
         assert report.passed
         assert report.suite == "routes"
         assert all(cell.ok for cell in report.cells)

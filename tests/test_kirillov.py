@@ -8,19 +8,20 @@ from faberfields.faberkernel import (a_field_direct, a_field_grunsky, grunsky_lo
                                      lambda_direct)
 from faberfields.kirillov import (
     check_negative_action,
-    check_recursion,
     check_thm42,
-    commutation_check,
+    commutation_pairs,
     inverse_deriv_coeffs,
     lemma41_check,
+    lemma41_pairs,
     make_L,
     negative_action_report,
     partial_derivation,
-    partial_via_L,
+    recursion_pairs,
     sample_polynomials,
 )
 from faberfields.polyring import _MONO_INTERN, CoeffPoly, c
 from faberfields.series import LaurentWPoly, WPoly, seed_series, series_agree, z_series
+from faberfields.suites import suite_report
 
 from .oracles import partial_sum_apply
 from .strategies import coeff_polys
@@ -139,11 +140,11 @@ class TestThm42:
 
 class TestRecursion:
     def test_first_steps(self):
-        report = check_recursion(2)
+        report = suite_report("recursion", recursion_pairs(2))
         assert report.passed
 
     def test_depth_eight(self):
-        assert check_recursion(8).passed
+        assert suite_report("recursion", recursion_pairs(8)).passed
 
 
 class TestLemma41:
@@ -154,11 +155,11 @@ class TestLemma41:
         assert bs[2] == c1 * c1 * 4 - c2 * 3
 
     def test_single_k(self):
-        assert partial_via_L(2, 8).passed
+        assert suite_report("lemma41", lemma41_pairs(2, 8, kmin=2)).passed
 
     def test_diagonal_case(self):
         # k = m: only the n = 0 term survives and gives 1.
-        report = partial_via_L(3, 3)
+        report = suite_report("lemma41", lemma41_pairs(3, 3, kmin=3))
         assert report.passed
 
     def test_rectangle(self):
@@ -183,12 +184,11 @@ class TestCommutation:
         assert partial_derivation(1).apply_poly(L1.apply_poly(c1 * c2)) == c1 * 4
 
     def test_all_pairs(self):
-        for n in range(1, 5):
-            for j in range(1, 5):
-                assert commutation_check(n, j).passed
+        assert suite_report("commutation", commutation_pairs(4, 4)).passed
 
     def test_target_without_low_variables(self):
-        report = commutation_check(3, 4, samples=[c1, c2, one * 5])
+        pairs = commutation_pairs(3, 4, samples=[c1, c2, one * 5], nmin=3, jmin=4)
+        report = suite_report("commutation", pairs)
         assert report.passed
 
 

@@ -3,20 +3,20 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from faberfields.kirillov import make_L, partial_derivation
 from faberfields.polyring import (
+    _MONO_INTERN,
     CoeffPoly,
     MissingVariableError,
+    accumulate_product,
     c,
     mono,
     mono_degree,
     mono_weight,
-    partial,
-    poly_add,
     poly_div_int,
-    poly_mul,
-    specialize,
-    weight_components,
+    poly_from_bucket,
 )
 
 from .strategies import coeff_polys, rationals, var_indices
@@ -48,18 +48,18 @@ class TestArithmetic:
 
     def test_add_mixed(self):
         # (c1^2 - c2) + 3 c2 = c1^2 + 2 c2, by hand.
-        assert poly_add(c1 * c1 - c2, c2 * 3) == c1 * c1 + c2 * 2
+        assert (c1 * c1 - c2) + c2 * 3 == c1 * c1 + c2 * 2
 
     def test_mul_square(self):
-        assert poly_mul(c1, c1) == CoeffPoly.var(1, 2)
+        assert c1 * c1 == CoeffPoly.var(1, 2)
 
     def test_mul_unit(self):
         p = c1 * c1 - c2
-        assert poly_mul(p, CoeffPoly.one()) == p
+        assert p * CoeffPoly.one() == p
 
     def test_mul_expand(self):
         # 2 c1 (c1^2 - c2) = 2 c1^3 - 2 c1 c2, by hand.
-        got = poly_mul(c1 * 2, c1 * c1 - c2)
+        got = (c1 * 2) * (c1 * c1 - c2)
         want = CoeffPoly.var(1, 3) * 2 - c1 * c2 * 2
         assert got == want
 
@@ -75,61 +75,61 @@ class TestArithmetic:
 
 class TestPartial:
     def test_square(self):
-        assert partial(c1 * c1, 1) == c1 * 2
+        assert (c1 * c1).partial(1) == c1 * 2
 
     def test_absent_variable(self):
-        assert partial(c1 * c1, 2) == CoeffPoly.zero()
+        assert (c1 * c1).partial(2) == CoeffPoly.zero()
 
     def test_mixed(self):
         # d/dc1 (4 c1^2 - 3 c2) = 8 c1, by hand.
-        assert partial(c1 * c1 * 4 - c2 * 3, 1) == c1 * 8
+        assert (c1 * c1 * 4 - c2 * 3).partial(1) == c1 * 8
 
 
 class TestWeightComponents:
     def test_single_weight(self):
         p = c1 * c1 + c2 * 2
-        assert weight_components(p) == {2: p}
+        assert p.weight_components() == {2: p}
 
     def test_two_weights(self):
-        assert weight_components(c1 + c2) == {1: c1, 2: c2}
+        assert (c1 + c2).weight_components() == {1: c1, 2: c2}
 
     def test_lambda3_linear_coefficient_is_homogeneous(self):
         # 6 c3 - 2 c1 c2 sits in a single weight-3 component.
         p = c3 * 6 - c1 * c2 * 2
-        assert weight_components(p) == {3: p}
+        assert p.weight_components() == {3: p}
         assert p.is_homogeneous(3)
 
     def test_sum_of_components_restores(self):
         p = c1 + c1 * c2 - c3 * c3
         total = CoeffPoly.zero()
-        for comp in weight_components(p).values():
+        for comp in p.weight_components().values():
             total = total + comp
         assert total == p
 
 
 class TestSpecialize:
     def test_hand_value(self):
-        assert specialize(c1 * c1 - c2, {1: 2, 2: 3}) == 1
+        assert (c1 * c1 - c2).specialize({1: 2, 2: 3}) == 1
 
     def test_zero_poly(self):
-        assert specialize(CoeffPoly.zero(), {}) == 0
+        assert CoeffPoly.zero().specialize({}) == 0
 
     def test_koebe_values(self):
         # c_n = n + 1 specialization of 2 c1.
-        assert specialize(c1 * 2, {n: n + 1 for n in range(1, 4)}) == 4
+        assert (c1 * 2).specialize({n: n + 1 for n in range(1, 4)}) == 4
 
     def test_exact_fraction_values(self):
-        val = specialize(c1 * c2, {1: Fraction(1, 2), 2: Fraction(1, 3)})
+        val = (c1 * c2).specialize({1: Fraction(1, 2), 2: Fraction(1, 3)})
         assert val == Fraction(1, 6)
 
     def test_missing_variable_named(self):
         with pytest.raises(MissingVariableError) as exc:
-            specialize(c1 + c2, {1: 1.0})
+            (c1 + c2).specialize({1: 1.0})
         assert exc.value.index == 2
         assert "c2" in str(exc.value)
 
     def test_complex_values(self):
-        assert specialize(c1, {1: 1j}) == 1j
+        assert c1.specialize({1: 1j}) == 1j
 
 
 class TestProperties:
@@ -232,3 +232,21 @@ class TestDivInt:
     def test_exact_division_asserts(self):
         with pytest.raises(AssertionError):
             poly_div_int(c1 * 3, 2, exact=True)
+
+
+class TestInterning:
+    # _MONO_MUL_CACHE is keyed by the id() of each factor, so every monomial
+    # that a polynomial stores must be the interned object.
+
+    @given(coeff_polys, coeff_polys, rationals, var_indices, st.integers(0, 3))
+    @settings(max_examples=100)
+    def test_results_store_interned_monomials(self, a, b, q, j, k):
+        bucket: dict = {}
+        accumulate_product(bucket, a, b)
+        results = [a + b, a - b, a * q, a * b, a ** k, a.partial(j),
+                   *a.weight_components().values(), poly_from_bucket(bucket),
+                   poly_div_int(a, 3), CoeffPoly.from_json_terms(a.to_json_terms()),
+                   make_L(j).apply_poly(a), make_L(0).apply_poly(a),
+                   partial_derivation(j).apply_poly(a)]
+        for p in results:
+            assert all(_MONO_INTERN[m] is m for m in p.terms), p

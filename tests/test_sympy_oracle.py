@@ -15,8 +15,9 @@ import faberfields as ff
 from faberfields.kirillov import inverse_deriv_coeffs
 
 N = 5
+NG = 4  # the Grunsky oracle's table size; beta_{n,k} reads c_1 .. c_{n+k}
 z, w, u, xi = sp.symbols("z w u xi")
-CS = sp.symbols(f"c1:{N + 2}")
+CS = sp.symbols(f"c1:{max(N + 1, 2 * NG) + 1}")
 
 
 def to_sympy(p):
@@ -77,20 +78,32 @@ def test_lambda_family(seed):
         assert sp.expand(gen.coeff(xi, p) - mine) == 0
 
 
-def test_grunsky_small(seed):
-    f, _ = seed
+def test_grunsky_small():
+    # log[(1/f(u) - 1/f(v)) / (1/u - 1/v)] = -sum (1/n) beta_{n,k} u^n v^k,
+    # expanded step by step.  beta_{n,k} with n, k <= NG reads the seed
+    # through c_{2 NG}, and 1/f through z^(2 NG).  The difference quotient of
+    # 1/f is a polynomial 1 + X with every term of X divisible by u v, so
+    # log(1 + X) = sum_j (-1)^(j+1) X^j / j needs only j <= NG.
     uu, vv = sp.symbols("uu vv")
-    fu = f.subs(z, uu)
-    fv = f.subs(z, vv)
-    K = sp.log(sp.cancel((1 / fu - 1 / fv) / (sp.Rational(1) / uu - sp.Rational(1) / vv)))
-    NG = 3
-    su = sp.series(K, uu, 0, NG + 1).removeO()
+    f = z * (1 + sum(CS[n - 1] * z ** n for n in range(1, 2 * NG + 1)))
+    r = sp.series(1 / f, z, 0, 2 * NG + 1).removeO()
+    quotient = sp.cancel((r.subs(z, uu) - r.subs(z, vv)) / (1 / uu - 1 / vv))
+
+    def cut(p):
+        """p without its terms u^i v^j with i > NG or j > NG."""
+        return sp.Poly.from_dict({m: c for m, c in p.as_dict().items() if max(m) <= NG},
+                                 uu, vv, domain=p.domain)
+
+    X = cut(sp.Poly(quotient - 1, uu, vv, domain=sp.QQ[CS]))
+    log, power = X * 0, X ** 0
+    for j in range(1, NG + 1):
+        power = cut(power * X)
+        log += power * sp.Rational((-1) ** (j + 1), j)
     table = ff.grunsky_log(NG, NG)
     for n in range(1, NG + 1):
-        row = sp.series(sp.together(su.coeff(uu, n)), vv, 0, NG + 1).removeO()
         for k in range(1, NG + 1):
-            want = sp.expand(row.coeff(vv, k) * (-n))
-            assert sp.expand(want - to_sympy(table.beta(n, k))) == 0
+            want = sp.expand(log.coeff_monomial(uu ** n * vv ** k).as_expr() * (-n))
+            assert sp.expand(want - to_sympy(table.beta(n, k))) == 0, (n, k)
 
 
 def test_reversion_composes(seed):
