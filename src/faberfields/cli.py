@@ -173,29 +173,29 @@ def _cmd_family(args):
     return 0
 
 
-def _cmd_grunsky(args):
-    _check_bounds(n=args.n, k=args.k)
-    builder = faberkernel.grunsky_compose if args.route == "compose" \
-        else faberkernel.grunsky_log
-    table = builder(args.n, args.k)
-    entries = {(n, k): table.beta(n, k)
-               for n in range(1, args.n + 1) for k in range(1, args.k + 1)}
-    _emit_table(args, "beta", entries, "beta[{},{}]",
-                (f"# Grunsky table ({table.provenance})",
-                 {"n_max": args.n, "k_max": args.k, "route": table.provenance}))
-    return 0
+#: The two-index tables, by verb: the row and column index flags with their
+#: first index, the routes (the default first) with the builder each names,
+#: the JSON key, which is also the built table's entry accessor, and the text
+#: label and title.
+TABLES = {
+    "grunsky": (("n", 1), ("k", 1), {"log": "grunsky_log", "compose": "grunsky_compose"},
+                "beta", "beta[{},{}]", "Grunsky table"),
+    "afield": (("p", 0), ("n", 0), {"direct": "a_field_direct", "grunsky": "a_field_grunsky"},
+               "A", "A[{1}]^{0}", "A-field table"),
+}
 
 
-def _cmd_afield(args):
-    _check_bounds(p=args.p, n=args.n)
-    builder = faberkernel.a_field_grunsky if args.route == "grunsky" \
-        else faberkernel.a_field_direct
-    table = builder(args.p, args.n)
-    entries = {(p, n): table.A(p, n)
-               for p in range(0, args.p + 1) for n in range(0, args.n + 1)}
-    _emit_table(args, "A", entries, "A[{1}]^{0}",
-                (f"# A-field table ({table.provenance})",
-                 {"p_max": args.p, "n_max": args.n, "route": table.provenance}))
+def _cmd_table(args):
+    (row, row0), (col, col0), routes, key, label, title = TABLES[args.verb]
+    rows, cols = getattr(args, row), getattr(args, col)
+    _check_bounds(**{row: rows, col: cols})
+    table = getattr(faberkernel, routes[args.route])(rows, cols)
+    entry = getattr(table, key)
+    entries = {(i, j): entry(i, j)
+               for i in range(row0, rows + 1) for j in range(col0, cols + 1)}
+    _emit_table(args, key, entries, label,
+                (f"# {title} ({table.provenance})",
+                 {f"{row}_max": rows, f"{col}_max": cols, "route": table.provenance}))
     return 0
 
 
@@ -339,19 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
         add_common(p)
         p.set_defaults(func=_cmd_family)
 
-    p = sub.add_parser("grunsky", help="Grunsky coefficient table")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--route", choices=["log", "compose"], default="log")
-    add_common(p)
-    p.set_defaults(func=_cmd_grunsky)
-
-    p = sub.add_parser("afield", help="vector-field coefficient table A_n^p")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--route", choices=["direct", "grunsky"], default="direct")
-    add_common(p)
-    p.set_defaults(func=_cmd_afield)
+    for verb, text in (("grunsky", "Grunsky coefficient table"),
+                       ("afield", "vector-field coefficient table A_n^p")):
+        (row, _), (col, _), routes = TABLES[verb][:3]
+        p = sub.add_parser(verb, help=text)
+        p.add_argument(f"--{row}", type=int, required=True)
+        p.add_argument(f"--{col}", type=int, required=True)
+        p.add_argument("--route", choices=list(routes), default=next(iter(routes)))
+        add_common(p)
+        p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("reverse", help="powers of the reverse series")
     p.add_argument("--q", type=int, required=True)

@@ -14,6 +14,14 @@ coefficient ring:
 * the vector-field coefficient tables ``A_n^p`` (and intermediates
   ``B_k^p``), again by two independent routes.
 
+F_n, T_n and Lambda_p are the rows of one marker family (``_marker_family``),
+the coefficients [z^n] front(z) f(z)^m of front(z) / (1 - w f(z)), with the
+fronts z f'/f, z f'^2/f and S = z^2 f'^2/f^2.  The second routes of T_n,
+a_p^p and the B and A tables are each one convolution with f'
+(``_fprime_times``): T = f' F, B_k^p = [z^(p+k)] f' - [z^(p-1)] f' beta_(.,k+1)
+and a_p^p = B_0^p.  Every table builder, here and in ``kirillov`` and
+``inversion``, reads the seed coefficients c_k only through ``_seed``.
+
 Every power of the seed, of either sign, comes from one kernel, Miller's
 recurrence on f/z (``series.unit_pow``): each f^e through ``_f_power``, and
 r = z/f = (f/z)^-1 and S = f'^2 (f/z)^-2, so no builder here takes a
@@ -23,10 +31,11 @@ accumulated coefficient by coefficient only through the highest power of z
 that is read.  The elimination series E_p are keyed by that power, not by a
 seed order, so every caller builds exactly what it reads.
 Where two formulas exist for the same object, both are implemented and their
-exact equality is a checked property; no family trusts another family's
-route.  Builders compute the seed truncation order they need, and the series
-layer raises OrderError on any overreach, so silently truncated tables
-cannot occur.  All tables are immutable once built; builders are cached.
+exact equality is a checked property; the README names the code each side
+of a route check stands on.  Builders compute the seed truncation order they
+need, and the series layer raises OrderError on any overreach, so silently
+truncated tables cannot occur.  All tables are immutable once built;
+builders are cached.
 """
 
 from __future__ import annotations
@@ -212,13 +221,22 @@ class AFieldTable:
 # -- Faber and T families -----------------------------------------------------------
 
 
-def _marker_family(front: PowerSeries, max_index: int, order: int) -> list[WPoly]:
-    """Coefficients of z^n in front(z) * sum_m w^m f(z)^m, arranged by w powers."""
-    gs = [front * _f_power(order + 1 - m, m) for m in range(max_index + 1)]
-    out = []
-    for n in range(1, max_index + 1):
-        out.append(WPoly([gs[m].coefficient(n) for m in range(n + 1)]))
-    return out
+def _marker_family(front: PowerSeries, N: int) -> list[list[CoeffPoly]]:
+    """Rows n = 0..N of [z^n] front(z) f(z)^m, m = 0..n: the coefficients of
+    z^n in front(z) / (1 - w f(z)), by powers of w.  ``front`` must be known
+    through z^N; f^m has valuation m, so no m > n reaches z^n.
+    """
+    gs = [front * _f_power(N + 1 - m, m) for m in range(N + 1)]
+    return [[gs[m].coefficient(n) for m in range(n + 1)] for n in range(N + 1)]
+
+
+def _fprime_times(xs: list):
+    """[z^n] f'(z) X(z) = sum_i (i+1) c_i X_(n-i), with c_0 = 1, for the
+    coefficients xs = [X_0, ..., X_n] of a series X over the coefficient ring
+    or over marker polynomials."""
+    n = len(xs) - 1
+    fprime = _seed(n + 1).derivative()
+    return sum((xs[n - i] * fprime.coefficient(i) for i in range(1, n + 1)), xs[n])
 
 
 @lru_cache(maxsize=None)
@@ -227,7 +245,7 @@ def faber_polys(N: int) -> FaberFamily:
     if N < 1:
         raise ValueError("need N >= 1")
     front = _seed(N + 1).derivative() * _r_series(N)  # z f'/f
-    return FaberFamily(N, tuple(_marker_family(front, N, N)))
+    return FaberFamily(N, tuple(WPoly(row) for row in _marker_family(front, N)[1:]))
 
 
 @lru_cache(maxsize=None)
@@ -235,28 +253,20 @@ def t_polys(N: int) -> TFamily:
     """T_0..T_N from the squared-derivative generating series."""
     if N < 0:
         raise ValueError("need N >= 0")
-    if N == 0:
-        return TFamily(0, (WPoly([1]),))
     fprime = _seed(N + 1).derivative()
     front = fprime * fprime * _r_series(N)  # z f'^2 / f
-    return TFamily(N, (WPoly([1]), *_marker_family(front, N, N)))
+    return TFamily(N, tuple(WPoly(row) for row in _marker_family(front, N)))
 
 
 @lru_cache(maxsize=None)
 def t_from_faber(N: int) -> TFamily:
-    """Second route: T_n = F_n + 2 c1 F_{n-1} + ... + n c_{n-1} F_1 + (n+1) c_n."""
+    """Second route: T_n = [z^n] f'(z) F(z) with F_0 = 1, that is
+    T_n = F_n + 2 c1 F_{n-1} + ... + n c_{n-1} F_1 + (n+1) c_n."""
     if N < 0:
         raise ValueError("need N >= 0")
-    entries = [WPoly([1])]
-    if N >= 1:
-        fab = faber_polys(N)
-        for n in range(1, N + 1):
-            t = fab.poly(n)
-            for j in range(1, n):
-                t = t + fab.poly(n - j) * (CoeffPoly.var(j) * (j + 1))
-            t = t + WPoly([CoeffPoly.var(n) * (n + 1)])
-            entries.append(t)
-    return TFamily(N, tuple(entries), provenance="faber-combination")
+    fab = [WPoly([1])] + (list(faber_polys(N).entries) if N else [])
+    return TFamily(N, tuple(_fprime_times(fab[:n + 1]) for n in range(N + 1)),
+                   provenance="faber-combination")
 
 
 # -- diagonal coefficients ------------------------------------------------------------
@@ -271,23 +281,25 @@ def diag_a(P: int) -> DiagonalCoeffs:
     return DiagonalCoeffs(P, tuple(s.coefficient(p) for p in range(1, P + 1)))
 
 
+def _grunsky_b(table: GrunskyTable | None, p: int, k: int) -> CoeffPoly:
+    """B_k^p = [z^(p+k)] f'(z) - [z^(p-1)] f'(z) beta_(., k+1)(z), where
+    beta_(., k+1)(z) = sum_(j>=1) beta_{j,k+1} z^j; ``table`` must hold
+    beta_{j,k+1} for j < p (None when p = 1)."""
+    column = [CoeffPoly.zero()] + [table.beta(j, k + 1) for j in range(1, p)]
+    fprime = _seed(p + k + 1).derivative()
+    return fprime.coefficient(p + k) - _fprime_times(column)
+
+
 @lru_cache(maxsize=None)
 def diag_a_grunsky(P: int) -> DiagonalCoeffs:
-    """Second route: a_1^1 = 2 c1 and, for p > 1,
+    """Second route: a_p^p = B_0^p (``_grunsky_b``), that is
     a_p^p = (p+1) c_p - [beta_{p-1,1} + 2 c1 beta_{p-2,1} + ... + (p-1) c_{p-2} beta_{1,1}].
     """
     if P < 1:
         raise ValueError("need P >= 1")
-    entries = [CoeffPoly.var(1) * 2]
-    if P >= 2:
-        table = grunsky_log(P - 1, 1)
-        for p in range(2, P + 1):
-            acc = CoeffPoly.var(p) * (p + 1)
-            for i in range(0, p - 1):
-                ci = CoeffPoly.one() if i == 0 else CoeffPoly.var(i)
-                acc = acc - ci * (i + 1) * table.beta(p - 1 - i, 1)
-            entries.append(acc)
-    return DiagonalCoeffs(P, tuple(entries), provenance="grunsky-combination")
+    table = grunsky_log(P - 1, 1) if P >= 2 else None
+    return DiagonalCoeffs(P, tuple(_grunsky_b(table, p, 0) for p in range(1, P + 1)),
+                          provenance="grunsky-combination")
 
 
 # -- Grunsky coefficients ------------------------------------------------------------
@@ -362,20 +374,14 @@ def lambda_direct(P: int) -> LambdaFamily:
 
         xi^2 f'(xi)^2 / f(xi)^2 * u^2 / (f(xi) - u) = sum_p Lambda_p(u) xi^p,
 
-    expanding 1/(f(xi) - u) = - sum_m f(xi)^m / u^{m+1}; only m <= p
-    contributes to the xi^p coefficient because f(xi)^m has valuation m.
+    expanding 1/(f(xi) - u) = - sum_m f(xi)^m / u^{m+1}: with S the front of
+    the marker family, Lambda_p = - sum_m [xi^p] S f^m u^(1-m), m <= p.
     """
     if P < 0:
         raise ValueError("need P >= 0")
-    s = _s_series(P)
-    prods = [s * _f_power(P + 1 - m, m) for m in range(P + 1)]  # S * f^m
-    entries = []
-    for p in range(P + 1):
-        lam = LaurentWPoly(
-            {1 - m: -prods[m].coefficient(p) for m in range(p + 1)}
-        )
-        entries.append(lam)
-    return LambdaFamily(P, tuple(entries))
+    rows = _marker_family(_s_series(P), P)
+    return LambdaFamily(P, tuple(LaurentWPoly({1 - m: -cm for m, cm in enumerate(row)})
+                                 for row in rows))
 
 
 @lru_cache(maxsize=None)
@@ -452,48 +458,33 @@ def a_field_direct(P: int, N: int) -> AFieldTable:
         a_entries[(p, 0)] = CoeffPoly.zero()
         for n in range(1, N + 1):
             a_entries[(p, n)] = e.coefficient(n + 1)
-    b_entries = {}
     diag = diag_a(P) if P >= 1 else None
-    for p in range(1, P + 1):
-        b_entries[(p, 0)] = diag.a(p)
-        for k in range(1, N + 1):
-            ck = CoeffPoly.var(k)
-            b_entries[(p, k)] = a_entries[(p, k)] + diag.a(p) * ck
+    f = _seed(N + 1)
+    # B_k^p = A_k^p + a_p^p c_k, with c_0 = 1, so B_0^p = a_p^p.
+    b_entries = {(p, k): a_entries[(p, k)] + diag.a(p) * f.coefficient(k + 1)
+                 for p in range(1, P + 1) for k in range(N + 1)}
     return AFieldTable(P, N, a_entries, b_entries, provenance="elimination")
 
 
 @lru_cache(maxsize=None)
 def a_field_grunsky(P: int, N: int) -> AFieldTable:
-    """Second route, via Grunsky coefficients:
+    """Second route, via Grunsky coefficients (``_grunsky_b``):
 
         B_k^p = (p+k+1) c_{p+k} - [beta_{p-1,k+1} + 2 c1 beta_{p-2,k+1} + ...]
         A_k^p = B_k^p - a_p^p c_k,
 
-    with the conventions c_0 = 1, B_0^p = a_p^p, A_0^p = 0, the explicit
-    branch B_k^1 = (k+2) c_{k+1}, and A_k^0 = k c_k.
+    with c_0 = 1, so B_0^p = a_p^p and A_0^p = 0, and A_k^0 = k c_k.
     """
     if P < 0 or N < 1:
         raise ValueError("need P >= 0 and N >= 1")
     table = grunsky_log(P - 1, N + 1) if P >= 2 else None
-    diag = diag_a_grunsky(P) if P >= 1 else None
-    a_entries = {}
+    f = _seed(N + 1)
+    a_entries = {(0, n): f.coefficient(n + 1) * n for n in range(N + 1)}
     b_entries = {}
-    for n in range(N + 1):
-        a_entries[(0, n)] = CoeffPoly.var(n) * n if n else CoeffPoly.zero()
     for p in range(1, P + 1):
-        ap = diag.a(p)
-        b_entries[(p, 0)] = ap
-        a_entries[(p, 0)] = CoeffPoly.zero()
-        for k in range(1, N + 1):
-            if p == 1:
-                b = CoeffPoly.var(k + 1) * (k + 2)
-            else:
-                b = CoeffPoly.var(p + k) * (p + k + 1)
-                for i in range(0, p - 1):
-                    ci = CoeffPoly.one() if i == 0 else CoeffPoly.var(i)
-                    b = b - ci * (i + 1) * table.beta(p - 1 - i, k + 1)
-            b_entries[(p, k)] = b
-            a_entries[(p, k)] = b - ap * CoeffPoly.var(k)
+        for k in range(N + 1):
+            b_entries[(p, k)] = _grunsky_b(table, p, k)
+            a_entries[(p, k)] = b_entries[(p, k)] - b_entries[(p, 0)] * f.coefficient(k + 1)
     return AFieldTable(P, N, a_entries, b_entries, provenance="grunsky-combination")
 
 

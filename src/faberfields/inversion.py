@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .faberkernel import a_field_direct, lambda_direct
+from .faberkernel import _seed, a_field_direct, lambda_direct
 from .kirillov import make_L
 from .polyring import CoeffPoly
 from .reports import CheckReport, IdentityPair, report_from_pairs, series_pairs
@@ -43,7 +43,6 @@ from .series import (
     laurent_pow,
     ps_reversion,
     reversion_powers,
-    seed_series,
     z_series,
     zero_series,
 )
@@ -73,7 +72,7 @@ class ReverseSeriesTable:
 
 @lru_cache(maxsize=None)
 def _reversion(order: int) -> LaurentSeries:
-    return ps_reversion(seed_series(order))
+    return ps_reversion(_seed(order))
 
 
 def _reverse_powers(g: LaurentSeries, qmin: int, qmax: int) -> dict:
@@ -84,7 +83,7 @@ def _reverse_powers(g: LaurentSeries, qmin: int, qmax: int) -> dict:
     reversion, which passed its composition check, and is not built again.
     """
     qs = range(qmin, qmax + 1)
-    pows = reversion_powers(seed_series(g.order), [q for q in qs if q != 1])
+    pows = reversion_powers(_seed(g.order), [q for q in qs if q != 1])
     if 1 in qs:
         pows[1] = g
     return pows
@@ -138,7 +137,7 @@ def thm51_zero_negative_pairs(pmax: int, N: int):
 
     afield = a_field_direct(max(pmax, 1), N)
     lhs = make_L(-1, afield).apply(g.truncate(N))
-    two_c1_z = z_series().scale(CoeffPoly.var(1) * 2)
+    two_c1_z = z_series().scale(_seed(2).coefficient(2) * 2)
     rhs = ((zero_series(N) - 1) + (two_c1_z + 1) * gprime).truncate(N)
     yield from _thm51_pairs("Lminus1", (("p", 1),), lhs, rhs, N)
 

@@ -18,10 +18,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .faberkernel import AFieldTable, _elimination_family, a_field_direct, lambda_direct
+from .faberkernel import AFieldTable, _elimination_family, _seed, a_field_direct, lambda_direct
 from .polyring import CoeffPoly, mono_div_at, mono_mul, poly_from_bucket
 from .reports import CheckReport, IdentityPair, report_from_pairs, series_pairs
-from .series import LaurentSeries, LaurentWPoly, WPoly, _make, seed_series, unit_pow
+from .series import LaurentSeries, LaurentWPoly, WPoly, _make, unit_pow
 
 
 class Derivation:
@@ -176,7 +176,7 @@ def negative_action_pairs(pmax: int, N: int | None = None, pmin: int = 1,
     if table is None:
         table = a_field_direct(pmax, max(N - 1, 1))
     family = _elimination_family(pmax, N)
-    f = seed_series(N)
+    f = _seed(N)
     for p in range(pmin, pmax + 1):
         yield from series_pairs("negative-action", (("p", p), ("N", N)),
                                 make_L(-p, table).apply(f), family[p], N)
@@ -244,7 +244,7 @@ def inverse_deriv_coeffs(order: int) -> list[CoeffPoly]:
     Distinct from the A-table intermediates B_k^p: these are the expansion
     coefficients of the reciprocal derivative, a run of the power kernel.
     """
-    inv = unit_pow(seed_series(order + 2).derivative(), -1)
+    inv = unit_pow(_seed(order + 2).derivative(), -1)
     return [inv.coefficient(n) for n in range(order + 1)]
 
 
@@ -273,10 +273,10 @@ def lemma41_check(kmax: int, mmax: int) -> CheckReport:
     return report_from_pairs("lemma41", lemma41_pairs(kmax, mmax), ("k", "m"))
 
 
-def sample_polynomials(count: int = 20) -> list[CoeffPoly]:
-    """A fixed, deterministic corpus of targets for operator identities."""
+def sample_polynomials() -> list[CoeffPoly]:
+    """A fixed, deterministic corpus of 20 targets for operator identities."""
     c = CoeffPoly.var
-    base = [
+    return [
         c(1), c(2), c(3), c(4), c(5), c(6), c(7), c(8),
         c(1) * c(2),
         c(2) * c(3),
@@ -291,7 +291,6 @@ def sample_polynomials(count: int = 20) -> list[CoeffPoly]:
         c(1) ** 4 - 2 * c(2) ** 2,
         c(8) * c(1) ** 2 + CoeffPoly.const(Fraction(1, 3)) * c(6),
     ]
-    return base[:count]
 
 
 def commutation_pairs(nmax: int, jmax: int, samples=None, nmin: int = 1,

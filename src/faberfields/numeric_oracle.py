@@ -32,6 +32,17 @@ from .faberkernel import lambda_direct
 from .polyring import mono_values
 from .reports import CheckCell, CheckReport, IdentityPair
 
+#: The contour check's bound on |quadrature - symbolic side|, and its bound on
+#: |quadrature(M) - quadrature(2M)| below which the quadrature has converged.
+CONTOUR_TOLERANCE = 1e-9
+CONTOUR_SELF_TOLERANCE = 1e-11
+
+#: The numeric sweep's draws: draw d is ``random_seed(SWEEP_RNG_SEED + d,
+#: SWEEP_BOUND)``, and each side must agree to the relative ``SWEEP_TOL``.
+SWEEP_RNG_SEED = 2024
+SWEEP_BOUND = 0.5
+SWEEP_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class NumericSeed:
@@ -114,22 +125,20 @@ class ContourReport:
     rhs: complex          # symbolic residue form, specialized
     gap: float
     self_gap: float       # |quadrature(M) - quadrature(2M)|
-    tolerance: float
-    self_tolerance: float
 
     @property
     def converged(self) -> bool:
-        return self.self_gap <= self.self_tolerance
+        return self.self_gap <= CONTOUR_SELF_TOLERANCE
 
     @property
     def ok(self) -> bool:
-        return self.converged and self.gap <= self.tolerance
+        return self.converged and self.gap <= CONTOUR_TOLERANCE
 
     @property
     def status(self) -> str:
         if not self.converged:
             return "non-converged"
-        return "ok" if self.gap <= self.tolerance else "mismatch"
+        return "ok" if self.gap <= CONTOUR_TOLERANCE else "mismatch"
 
     def to_json_obj(self) -> dict:
         return {
@@ -158,15 +167,16 @@ def _quadrature(seed: NumericSeed, p: int, z: complex, r: float, M: int) -> comp
     return fz * fz * total / M
 
 
-def contour_check(seed: NumericSeed, p: int, z: complex, r: float, M: int,
-                  tolerance: float = 1e-9,
-                  self_tolerance: float = 1e-11) -> ContourReport:
+def contour_check(seed: NumericSeed, p: int, z: complex, r: float,
+                  M: int) -> ContourReport:
     """Quadrature versus the specialized symbolic side phi_p(z) + z^(1-p) f'(z).
 
     The quadrature is accepted only if doubling the node count moves it by
-    less than the self-consistency tolerance; otherwise the report carries
+    less than ``CONTOUR_SELF_TOLERANCE``; otherwise the report carries
     status ``non-converged`` rather than ``mismatch``.
     """
+    if M < 1:
+        raise ValueError(f"need M >= 1 quadrature nodes, got {M}")
     if seed.f is None or seed.fprime is None:
         raise ValueError(f"seed {seed.name} has no closed-form evaluators")
     if not (abs(z) < r < seed.univalence_radius):
@@ -188,31 +198,33 @@ def contour_check(seed: NumericSeed, p: int, z: complex, r: float, M: int,
         lhs=lhs, rhs=rhs,
         gap=abs(lhs - rhs),
         self_gap=abs(lhs - lhs2),
-        tolerance=tolerance,
-        self_tolerance=self_tolerance,
     )
 
 
-def _relative_ok(lhs: complex, rhs: complex, tol: float) -> tuple[bool, float]:
+def _relative_ok(lhs: complex, rhs: complex) -> tuple[bool, float]:
     gap = abs(lhs - rhs)
     scale = max(1.0, abs(lhs), abs(rhs))
-    return gap <= tol * scale, gap / scale
+    return gap <= SWEEP_TOL * scale, gap / scale
 
 
-def numeric_identity_sweep(pairs: Iterable[IdentityPair], draws: int = 25,
-                           rng_seed: int = 2024, tol: float = 1e-12,
-                           bound: float = 0.5) -> CheckReport:
+def numeric_identity_sweep(pairs: Iterable[IdentityPair],
+                           draws: int = 25) -> CheckReport:
     """Specialize identity pairs at random bounded coefficient vectors.
 
     Any specialization is valid because both sides are polynomials in the
     seed coefficients; each draw/suite cell passes when every pair of that
-    suite holds within the relative tolerance.
+    suite holds within the relative tolerance ``SWEEP_TOL``.  No pair or no
+    draw would report an empty pass, so either raises.
 
     Each draw fills one table with the value of every distinct monomial of
     all pairs, once, and sums each side over its own terms from that table
     (``CoeffPoly.evaluate``), which is exactly ``specialize`` at that draw.
     """
+    if draws < 1:
+        raise ValueError(f"numeric-sweep: need draws >= 1, got {draws}")
     pairs = list(pairs)
+    if not pairs:
+        raise ValueError("numeric-sweep: no identity pair, so no cell to check")
     monos: set = set()
     by_suite: dict[str, list[IdentityPair]] = {}
     for pair in pairs:
@@ -221,13 +233,13 @@ def numeric_identity_sweep(pairs: Iterable[IdentityPair], draws: int = 25,
     nmax = max((m[-1][0] for m in monos if m), default=0)
     cells: list[CheckCell] = []
     for d in range(draws):
-        seed = random_seed(rng_seed + d, bound=bound, nmax=max(nmax, 1))
+        seed = random_seed(SWEEP_RNG_SEED + d, bound=SWEEP_BOUND, nmax=max(nmax, 1))
         table = mono_values(monos, seed.coeff_map(max(nmax, 1)))
         for suite_name in sorted(by_suite):
             detail = ""
             for pair in by_suite[suite_name]:
                 ok, rel = _relative_ok(complex(pair.lhs.evaluate(table)),
-                                       complex(pair.rhs.evaluate(table)), tol)
+                                       complex(pair.rhs.evaluate(table)))
                 if not ok:
                     detail = f"{pair.label()} off by relative {rel:.3e} at {seed.name}"
                     break

@@ -15,6 +15,9 @@ from faberfields import kirillov as kv
 from faberfields import suites
 from faberfields.kirillov import inverse_deriv_coeffs, make_L
 from faberfields.numeric_oracle import (
+    CONTOUR_SELF_TOLERANCE,
+    CONTOUR_TOLERANCE,
+    SWEEP_TOL,
     contour_check,
     koebe_seed,
     numeric_identity_sweep,
@@ -210,11 +213,10 @@ def test_criterion_08_reverse_series_identities(capsys):
 def test_criterion_09_contour_oracle(capsys):
     t0 = time.perf_counter()
     seed = koebe_seed(Fraction(1, 2))
-    reports = [contour_check(seed, p, 0.3, 0.6, 4096,
-                             tolerance=1e-9, self_tolerance=1e-11)
-               for p in range(5)]
+    reports = [contour_check(seed, p, 0.3, 0.6, 4096) for p in range(5)]
     elapsed = time.perf_counter() - t0
     ok = all(r.status == "ok" for r in reports) and elapsed < 10.0
+    assert (CONTOUR_TOLERANCE, CONTOUR_SELF_TOLERANCE) == (1e-9, 1e-11)
     worst = max(r.gap for r in reports)
     _report(capsys, 9, ok,
             f"contour quadrature vs symbolic, koebe rho=1/2, p <= 4, "
@@ -224,8 +226,9 @@ def test_criterion_09_contour_oracle(capsys):
 def test_criterion_10_numeric_sweep(capsys):
     t0 = time.perf_counter()
     pairs = suites.collect_pairs()
-    report = numeric_identity_sweep(pairs, draws=25, tol=1e-12)
+    report = numeric_identity_sweep(pairs, draws=25)
     elapsed = time.perf_counter() - t0
+    assert SWEEP_TOL == 1e-12
     _report(capsys, 10, report.passed,
             f"numeric sweep: {len(pairs)} identity pairs at 25 random "
             f"coefficient vectors, relative 1e-12", elapsed)

@@ -1,11 +1,13 @@
 import sys
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faberfields import faberkernel, series
+from faberfields import faberkernel, inversion, polyring, series
 from faberfields.faberkernel import (
+    EliminationError,
     _elimination_family,
     _eval_on_powers,
     _f_power,
@@ -30,7 +32,7 @@ from faberfields.faberkernel import (
     t_from_faber,
     t_polys,
 )
-from faberfields.inversion import _reverse_powers, _reversion
+from faberfields.inversion import _reverse_powers, _reversion, reverse_table
 from faberfields.kirillov import inverse_deriv_coeffs
 from faberfields.polyring import CoeffPoly, c
 from faberfields.series import (
@@ -42,7 +44,7 @@ from faberfields.series import (
     seed_series,
     series_agree,
 )
-from faberfields.suites import suite_report
+from faberfields.suites import run_suite, suite_report
 
 from .oracles import (
     dense_grunsky_log,
@@ -67,13 +69,10 @@ PRODUCT_ROUTES = ((series, "laurent_recip"), (series, "laurent_pow"),
                   (series.WPoly, "eval_at"), (series.LaurentWPoly, "eval_at"))
 
 
-def refuse_everywhere(monkeypatch, targets, message):
-    """Make each (owner, name) in ``targets`` raise under every name that
-    binds it in a ``faberfields`` module or class, so a module that imported
-    it by value is covered too."""
-    def refuse(*args, **kwargs):
-        raise AssertionError(message)
-
+def patch_everywhere(monkeypatch, targets, replacement):
+    """Bind ``replacement`` to every name that binds an (owner, name) of
+    ``targets`` in a ``faberfields`` module or class, so a module that
+    imported it by value is covered too."""
     originals = [vars(owner)[name] for owner, name in targets]
     for modname, mod in list(sys.modules.items()):
         if mod is None or modname.split(".")[0] != "faberfields":
@@ -83,7 +82,27 @@ def refuse_everywhere(monkeypatch, targets, message):
         for owner in owners:
             for key, value in list(vars(owner).items()):
                 if any(value is orig for orig in originals):
-                    monkeypatch.setattr(owner, key, refuse)
+                    monkeypatch.setattr(owner, key, replacement)
+
+
+def refuse_everywhere(monkeypatch, targets, message):
+    """Make each (owner, name) in ``targets`` raise under every name that binds it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(message)
+
+    patch_everywhere(monkeypatch, targets, refuse)
+
+
+@pytest.fixture
+def cold_caches(monkeypatch):
+    """Bind an empty copy of every cached builder for the test, so the
+    builders it reaches run their own code under its patches; the warm
+    caches come back untouched afterwards, holding nothing built under them."""
+    for mod in (faberkernel, inversion):
+        for name, fn in list(vars(mod).items()):
+            if hasattr(fn, "cache_info") and fn.__module__ == mod.__name__:
+                patch_everywhere(monkeypatch, ((mod, name),),
+                                 lru_cache(maxsize=None)(fn.__wrapped__))
 
 
 def specialized_entries(obj, values):
@@ -409,6 +428,58 @@ class TestOneKernel:
         inverse_deriv_coeffs(8)
         pows = _reverse_powers(_reversion.__wrapped__(10), -4, 4)
         assert sorted(pows) == list(range(-4, 5))
+
+    def test_builders_read_the_seed_only_through_seed(self, monkeypatch, cold_caches):
+        # The one reader of c_k: with seed_series and CoeffPoly.var refused,
+        # every table builder still builds from seeds handed out by _seed.
+        seeds = {n: seed_series(n) for n in range(1, 40)}
+        want = recip_inverse_deriv_coeffs(8)
+        patch_everywhere(monkeypatch, ((faberkernel, "_seed"),), seeds.__getitem__)
+        refuse_everywhere(monkeypatch, ((series, "seed_series"), (polyring.CoeffPoly, "var")),
+                          "a builder read the seed past faberkernel._seed")
+        for name, args in self.BUILDER_ARGS.items():
+            if name != "_seed":
+                getattr(faberkernel, name).__wrapped__(*args)
+        assert inverse_deriv_coeffs(8) == want
+        _reversion.__wrapped__(10)
+        table = reverse_table(-4, 4, 8)
+        assert table.delta(1, 1) == -c1
+
+    def test_grunsky_combinations_avoid_the_other_routes(self, monkeypatch, cold_caches):
+        # routes-diag and routes-afield compare two sides that share no
+        # builder: the Grunsky combinations stand on grunsky_log only, ...
+        refuse_everywhere(monkeypatch, (
+            (faberkernel, "_s_series"), (faberkernel, "_marker_family"),
+            (faberkernel, "_elimination_family"), (series, "unit_pow")),
+            "a Grunsky combination reached a power-kernel route")
+        diag_a_grunsky(6)
+        a_field_grunsky(5, 6)
+
+    def test_direct_tables_avoid_the_log_kernel(self, monkeypatch, cold_caches):
+        # ... and the direct tables never reach the log kernel.
+        refuse_everywhere(monkeypatch, ((faberkernel, "grunsky_log"), (series, "bi_log_in_u")),
+                          "a direct table reached the Grunsky log kernel")
+        diag_a(6)
+        a_field_direct(5, 6)
+
+    def test_corrupted_marker_row_fails_the_routes_suite(self, monkeypatch, cold_caches):
+        # F, T and Lambda all read _marker_family, so routes-t and
+        # routes-lambda stand on it on both sides; the log route of the
+        # Grunsky table must catch a wrong row ([z^3] front f^1 gains c1).
+        real = faberkernel._marker_family
+
+        def corrupted(front, N):
+            rows = real(front, N)
+            if N >= 3:
+                rows[3][1] = rows[3][1] + c1
+            return rows
+
+        monkeypatch.setattr(faberkernel, "_marker_family", corrupted)
+        try:
+            report = run_suite("routes", order=5)
+        except EliminationError:
+            return
+        assert not report.passed
 
     @pytest.mark.parametrize("order", range(13))
     def test_against_reciprocal_and_square(self, order):

@@ -1,8 +1,10 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+module-level private name is read somewhere in the package.
 
 A stale import keeps a dead name reachable (for instance as a patch target
 that no code calls any more), so it is refused here; ``__init__`` re-exports
-by design and is not checked.
+by design and is not checked for imports.  A private helper, class or
+constant that no package code reads is dead code a refactor left behind.
 """
 
 import ast
@@ -12,8 +14,8 @@ import pytest
 
 import faberfields
 
-MODULES = sorted(p for p in Path(faberfields.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted(Path(faberfields.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,3 +44,51 @@ def test_detects_an_unused_import():
               "from typing import Mapping\n"
               "def f(x: Fraction) -> str:\n    return os.path.sep\n")
     assert unused_imports(source) == ["line 4: Mapping"]
+
+
+def _defined_names(node) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _read_names(node) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            or isinstance(n, ast.Attribute)}
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants of the sources
+    (file name -> text) that no other top-level statement of any of them
+    reads, as a name or as an attribute; a helper that only calls itself
+    counts as unreferenced."""
+    statements = [(filename, node) for filename, source in sources.items()
+                  for node in ast.parse(source).body]
+    reads = [_read_names(node) for _, node in statements]
+    return [f"{filename} line {node.lineno}: {name}"
+            for i, (filename, node) in enumerate(statements)
+            for name in _defined_names(node)
+            if name.startswith("_") and not name.startswith("__")
+            and not any(name in r for j, r in enumerate(reads) if j != i)]
+
+
+def test_no_unreferenced_private_name():
+    assert unreferenced_privates({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def test_detects_an_unreferenced_private_name():
+    sources = {
+        "a.py": ("_LIMIT = 3\n_DEAD: int = 4\n"
+                 "def _helper(x):\n    return x + _LIMIT\n"
+                 "def _dead():\n    return _dead\n"
+                 "class _Unused:\n    pass\n"
+                 "def public():\n    return _helper(1)\n"),
+        "b.py": "from . import a\n_ALIAS = a._helper\nprint(_ALIAS)\n",
+    }
+    assert unreferenced_privates(sources) == [
+        "a.py line 2: _DEAD", "a.py line 5: _dead", "a.py line 7: _Unused"]

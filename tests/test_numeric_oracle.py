@@ -114,6 +114,13 @@ class TestContour:
         with pytest.raises(ValueError):
             contour_check(random_seed(1), 1, 0.3, 0.6, 256)  # no evaluators
 
+    @pytest.mark.parametrize("M", [0, -1])
+    def test_no_quadrature_node_raises(self, M):
+        # With no node the trapezoid mean divides by zero (M = 0) or sums
+        # nothing; either way there is no quadrature to compare.
+        with pytest.raises(ValueError, match="M >= 1"):
+            contour_check(koebe_seed(Fraction(1, 2)), 1, 0.3, 0.6, M)
+
     def test_json_shape(self):
         rep = contour_check(zero_seed(), 1, 0.3, 0.6, 256)
         obj = rep.to_json_obj()
@@ -150,6 +157,18 @@ class TestSweep:
         assert not rep.passed
         assert rep.first_failure.detail == \
             "demo[i=0] off by relative 1.000e-09 at random(2024)"
+
+    def test_no_pair_raises(self):
+        # An empty stream would report PASS with no cell, as report_from_pairs
+        # refuses for the exact checks.
+        with pytest.raises(ValueError, match="no identity pair"):
+            numeric_identity_sweep([])
+
+    @pytest.mark.parametrize("draws", [0, -2])
+    def test_no_draw_raises(self, draws):
+        pairs = list(suites.suite_pairs("grunsky-symmetry", 2))
+        with pytest.raises(ValueError, match="draws >= 1"):
+            numeric_identity_sweep(pairs, draws=draws)
 
     def test_small_order_all_suites(self):
         pairs = suites.collect_pairs(order=3)
