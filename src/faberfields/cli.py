@@ -266,9 +266,12 @@ def _cmd_check(args):
             f"(have: {', '.join(exact + ['contour', 'sweep', 'all'])})")
     include_contour = args.suite in ("all", "contour")
     include_sweep = args.suite in ("all", "sweep")
+    contour_reports = []
     if include_contour:
         seed = koebe_seed(_parse("rho", args.rho, Fraction))
         z = _parse("z", args.z, _complex_value)
+        ps = range(0, (args.pmax if args.pmax is not None else 4) + 1)
+        contour_reports = contour_check(seed, ps, z, args.r, args.M)
     overrides = {flag: getattr(args, flag) for flag in suites.FLAGS
                  if getattr(args, flag) is not None}
     # Each suite's pairs are built once: its exact report checks them, and
@@ -284,10 +287,6 @@ def _cmd_check(args):
             if checked:
                 reports.append(suites.suite_report(name, pairs))
             swept += pairs
-    contour_reports = []
-    if include_contour:
-        for p in range(0, (args.pmax if args.pmax is not None else 4) + 1):
-            contour_reports.append(contour_check(seed, p, z, args.r, args.M))
     if include_sweep:
         reports.append(numeric_identity_sweep(swept, draws=args.draws))
     ok = all(r.passed for r in reports) and all(c.ok for c in contour_reports)

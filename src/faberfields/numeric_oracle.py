@@ -17,7 +17,12 @@ Two independent oracles:
   the seed coefficients, so it may be evaluated at arbitrary bounded complex
   coefficient vectors and must hold to floating accuracy.
 
-Everything here is embarrassingly parallel over (suite, draw, p) and pure.
+Each oracle computes its shared quantities once.  The contour makes one pass
+over its 2M nodes for all p of a run: each node's xi, s(xi) and f(xi) - f(z)
+feed every p's 2M-node sum, and the even nodes, which are the M-node grid,
+also feed its M-node sum.  The sweep numbers the monomials of all pairs once
+(``polyring.MonoPlan``) and only fills the plan's value table at each draw.
+Everything here is pure.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .faberkernel import lambda_direct
-from .polyring import mono_values
+from .polyring import MonoPlan
 from .reports import CheckCell, CheckReport, IdentityPair
 
 #: The contour check's bound on |quadrature - symbolic side|, and its bound on
@@ -155,26 +160,24 @@ class ContourReport:
         }
 
 
-def _quadrature(seed: NumericSeed, p: int, z: complex, r: float, M: int) -> complex:
-    """Trapezoid rule for the contour integral on |xi| = r (mean of samples)."""
-    fz = seed.f(z)
-    total = 0j
-    for j in range(M):
-        xi = r * cmath.exp(2j * cmath.pi * j / M)
-        fxi = seed.f(xi)
-        s = (xi * seed.fprime(xi) / fxi) ** 2
-        total += s / ((fxi - fz) * xi ** p)
-    return fz * fz * total / M
+def contour_check(seed: NumericSeed, ps: Iterable[int], z: complex, r: float,
+                  M: int) -> list[ContourReport]:
+    """Quadrature versus the specialized symbolic side phi_p(z) + z^(1-p) f'(z),
+    one report for each p of ``ps``, in order.
 
-
-def contour_check(seed: NumericSeed, p: int, z: complex, r: float,
-                  M: int) -> ContourReport:
-    """Quadrature versus the specialized symbolic side phi_p(z) + z^(1-p) f'(z).
+    One pass over the 2M trapezoid nodes ``xi_k = r exp(2 i pi k / 2M)`` on
+    |xi| = r serves every p: at each node, xi, s(xi) = (xi f'(xi)/f(xi))^2
+    and f(xi) - f(z) are computed once, and ``s / ((f(xi) - f(z)) xi^p)``
+    is added to each p's 2M-node sum and, at even k, to its M-node sum.  The
+    even nodes are the M-node grid bit for bit, so both quadratures equal
+    separate M- and 2M-node runs.  No node is stored.
 
     The quadrature is accepted only if doubling the node count moves it by
     less than ``CONTOUR_SELF_TOLERANCE``; otherwise the report carries
-    status ``non-converged`` rather than ``mismatch``.
+    status ``non-converged`` rather than ``mismatch``.  phi_p has a pole of
+    order p - 1 at 0, so z = 0 is refused when some p >= 2.
     """
+    ps = list(ps)
     if M < 1:
         raise ValueError(f"need M >= 1 quadrature nodes, got {M}")
     if seed.f is None or seed.fprime is None:
@@ -183,22 +186,40 @@ def contour_check(seed: NumericSeed, p: int, z: complex, r: float,
         raise ValueError(
             f"need |z| < r < univalence radius, got |z|={abs(z)}, r={r}, "
             f"radius={seed.univalence_radius}")
-    lhs = _quadrature(seed, p, z, r, M)
-    lhs2 = _quadrature(seed, p, z, r, 2 * M)
-    lam = lambda_direct(p).poly(p)
-    values = seed.coeff_map(max((c.max_variable() for c in lam.entries.values()),
-                                default=0))
+    if z == 0 and any(p >= 2 for p in ps):
+        raise ValueError(f"z = 0 is a pole of phi_{min(p for p in ps if p >= 2)}")
     fz = seed.f(z)
-    rhs = 0j
-    for e, cpoly in lam.entries.items():
-        rhs += complex(cpoly.specialize(values)) * fz ** e
-    rhs += z ** (1 - p) * seed.fprime(z)
-    return ContourReport(
-        p=p, z=complex(z), r=float(r), M=M,
-        lhs=lhs, rhs=rhs,
-        gap=abs(lhs - rhs),
-        self_gap=abs(lhs - lhs2),
-    )
+    sums = [0j] * len(ps)
+    sums2 = [0j] * len(ps)
+    for k in range(2 * M):
+        xi = r * cmath.exp(2j * cmath.pi * k / (2 * M))
+        fxi = seed.f(xi)
+        s = (xi * seed.fprime(xi) / fxi) ** 2
+        df = fxi - fz
+        even = not k % 2
+        for i, p in enumerate(ps):
+            term = s / (df * xi ** p)
+            sums2[i] += term
+            if even:
+                sums[i] += term
+    reports = []
+    for p, total, total2 in zip(ps, sums, sums2):
+        lhs = fz * fz * total / M
+        lhs2 = fz * fz * total2 / (2 * M)
+        lam = lambda_direct(p).poly(p)
+        values = seed.coeff_map(max((c.max_variable() for c in lam.entries.values()),
+                                    default=0))
+        rhs = 0j
+        for e, cpoly in lam.entries.items():
+            rhs += complex(cpoly.specialize(values)) * fz ** e
+        rhs += z ** (1 - p) * seed.fprime(z)
+        reports.append(ContourReport(
+            p=p, z=complex(z), r=float(r), M=M,
+            lhs=lhs, rhs=rhs,
+            gap=abs(lhs - rhs),
+            self_gap=abs(lhs - lhs2),
+        ))
+    return reports
 
 
 def _relative_ok(lhs: complex, rhs: complex) -> tuple[bool, float]:
@@ -216,32 +237,31 @@ def numeric_identity_sweep(pairs: Iterable[IdentityPair],
     suite holds within the relative tolerance ``SWEEP_TOL``.  No pair or no
     draw would report an empty pass, so either raises.
 
-    Each draw fills one table with the value of every distinct monomial of
-    all pairs, once, and sums each side over its own terms from that table
-    (``CoeffPoly.evaluate``), which is exactly ``specialize`` at that draw.
+    The monomials of all pairs are numbered once (``polyring.MonoPlan``),
+    and each draw fills the plan's value table once and sums every side from
+    it, which is exactly ``specialize`` of each side at that draw.
     """
     if draws < 1:
         raise ValueError(f"numeric-sweep: need draws >= 1, got {draws}")
     pairs = list(pairs)
     if not pairs:
         raise ValueError("numeric-sweep: no identity pair, so no cell to check")
-    monos: set = set()
-    by_suite: dict[str, list[IdentityPair]] = {}
-    for pair in pairs:
-        monos.update(pair.lhs.terms, pair.rhs.terms)
-        by_suite.setdefault(pair.suite, []).append(pair)
-    nmax = max((m[-1][0] for m in monos if m), default=0)
+    by_suite: dict[str, list[int]] = {}
+    for i, pair in enumerate(pairs):
+        by_suite.setdefault(pair.suite, []).append(i)
+    sides = [side for pair in pairs for side in (pair.lhs, pair.rhs)]
+    plan = MonoPlan(sides)
+    nmax = max(1, max(side.max_variable() for side in sides))
     cells: list[CheckCell] = []
     for d in range(draws):
-        seed = random_seed(SWEEP_RNG_SEED + d, bound=SWEEP_BOUND, nmax=max(nmax, 1))
-        table = mono_values(monos, seed.coeff_map(max(nmax, 1)))
+        seed = random_seed(SWEEP_RNG_SEED + d, bound=SWEEP_BOUND, nmax=nmax)
+        values = plan.evaluate(seed.coeff_map(nmax))
         for suite_name in sorted(by_suite):
             detail = ""
-            for pair in by_suite[suite_name]:
-                ok, rel = _relative_ok(complex(pair.lhs.evaluate(table)),
-                                       complex(pair.rhs.evaluate(table)))
+            for i in by_suite[suite_name]:
+                ok, rel = _relative_ok(complex(values[2 * i]), complex(values[2 * i + 1]))
                 if not ok:
-                    detail = f"{pair.label()} off by relative {rel:.3e} at {seed.name}"
+                    detail = f"{pairs[i].label()} off by relative {rel:.3e} at {seed.name}"
                     break
             ok = not detail
             cells.append(CheckCell(

@@ -31,6 +31,9 @@ loops close to integer speed.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import islice
+from operator import add, mul
 from typing import Iterable, Mapping
 
 #: A monomial: sorted tuple of (variable index, exponent) pairs.
@@ -135,25 +138,81 @@ def mono_key(m: Monomial):
     return (w, tuple(dense))
 
 
-def mono_values(monos: Iterable[Monomial], values: Mapping[int, object]) -> dict:
-    """{m: value of m at c_j = values[j]} for each monomial, the factors
-    values[j] ** e multiplied in index order; the constant monomial maps to
-    None, so that :meth:`CoeffPoly.evaluate` keeps its coefficient exact.
+class MonoPlan:
+    """The values of many polynomials at one coefficient vector after another.
 
-    Raises MissingVariableError naming the first absent index.
+    The plan numbers every distinct monomial of the polynomials once: index 0
+    is the constant monomial, then come the single factors ``c_j^e`` in the
+    order the terms first meet them, then the monomials of two, three, ...
+    factors, each after its prefix ``m[:-1]``.  The value of a monomial is
+    then one product ``vals[prefix] * vals[last factor]``, the left fold of
+    its factors in index order, and each length fills its part of the table
+    in one C-level ``map``.  Each polynomial is kept as its coefficients, and
+    the indices of the monomials of all polynomials as one flat array of
+    machine integers, so no monomial is hashed after the plan is built.
+
+    :meth:`evaluate` fills the table at one vector and sums each polynomial
+    from its first term, in term order.  The constant monomial's value is the
+    integer 1, so an exact coefficient stays exact, and the zero polynomial is
+    ``Fraction(0)``.  Exact values give exact results; float or complex ones
+    give the bits of multiplying each term's factors in index order and
+    summing the terms in order.
     """
-    table = {}
-    for m in monos:
-        term = None
-        for j, e in m:
-            try:
-                v = values[j]
-            except KeyError:
-                raise MissingVariableError(j) from None
-            p = v ** e
-            term = p if term is None else term * p
-        table[m] = term
-    return table
+
+    __slots__ = ("_factors", "_levels", "_coeffs", "_monos")
+
+    def __init__(self, polys: Iterable["CoeffPoly"]):
+        # array is a shared library: imported here, it is mapped only by
+        # processes that evaluate, not by every importer of the ring.
+        from array import array
+
+        polys = list(polys)
+        index: dict = {ONE_MONO: 0}
+        factors: list = []
+        longer: dict[int, dict] = {}
+        for poly in polys:
+            for m in poly.terms:
+                if m in longer.get(len(m), ()):
+                    continue
+                for f in m:
+                    if (f,) not in index:
+                        index[(f,)] = len(factors) + 1
+                        factors.append(f)
+                for k in range(len(m), 1, -1):
+                    level = longer.setdefault(k, {})
+                    if m[:k] in level:
+                        break
+                    level[m[:k]] = None
+        levels = []
+        for k in sorted(longer):
+            prefixes, lasts = array("I"), array("I")
+            for m in longer[k]:
+                index[m] = len(index)
+                prefixes.append(index[m[:-1]])
+                lasts.append(index[m[-1:]])
+            levels.append((prefixes, lasts))
+        self._factors = factors
+        self._levels = levels
+        self._coeffs = [poly.terms.values() for poly in polys]
+        self._monos = array("I", (index[m] for poly in polys for m in poly.terms))
+
+    def evaluate(self, values: Mapping[int, object]) -> list:
+        """[poly at c_j = values[j] for each polynomial of the plan].
+
+        Raises MissingVariableError naming the first absent index, in the
+        order of the polynomials, their terms and each term's factors.
+        """
+        try:
+            vals = [1] + [values[j] ** e for j, e in self._factors]
+        except KeyError:
+            missing = next(j for j, _ in self._factors if j not in values)
+            raise MissingVariableError(missing) from None
+        get = vals.__getitem__
+        for prefixes, lasts in self._levels:
+            vals += map(mul, map(get, prefixes), map(get, lasts))
+        monos = iter(self._monos)
+        return [reduce(add, map(mul, coeffs, map(get, islice(monos, len(coeffs)))))
+                if coeffs else Fraction(0) for coeffs in self._coeffs]
 
 
 def mono_render(m: Monomial) -> str:
@@ -394,31 +453,15 @@ class CoeffPoly:
         return best
 
     def specialize(self, values: Mapping[int, object]):
-        """Evaluate at c_j = values[j].
+        """Evaluate at c_j = values[j], by a :class:`MonoPlan` of this one
+        polynomial.
 
         Values may be exact (int, Fraction) for an exact result, or
         float/complex for a numeric one.  Rational coefficients enter each
         term product last, so no precision is spent before it is needed.
         Raises MissingVariableError naming the first absent index.
         """
-        return self.evaluate(mono_values(self._terms, values))
-
-    def evaluate(self, table: Mapping[Monomial, object]):
-        """sum q * table[m] over the terms, in term order, where ``table``
-        holds the value of each monomial (:func:`mono_values`).
-
-        The constant term adds its exact coefficient, and the zero
-        polynomial is Fraction(0), so this is ``specialize`` for a table
-        filled once and shared by many polynomials.
-        """
-        total = None
-        for m, q in self._terms.items():
-            term = table[m]
-            contrib = q if term is None else q * term
-            total = contrib if total is None else total + contrib
-        if total is None:
-            return Fraction(0)
-        return total
+        return MonoPlan((self,)).evaluate(values)[0]
 
     # -- rendering ----------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Naive reference algorithms, kept outside the package to cross-check its kernels."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -172,6 +173,19 @@ def termwise_specialize(poly: CoeffPoly, values):
         contrib = q if term is None else q * term
         total = contrib if total is None else total + contrib
     return Fraction(0) if total is None else total
+
+
+def per_p_quadrature(seed, p: int, z: complex, r: float, M: int) -> complex:
+    """The contour integral's trapezoid rule on |xi| = r for one p and M
+    nodes, evaluating f, f' and s(xi) afresh at each node."""
+    fz = seed.f(z)
+    total = 0j
+    for j in range(M):
+        xi = r * cmath.exp(2j * cmath.pi * j / M)
+        fxi = seed.f(xi)
+        s = (xi * seed.fprime(xi) / fxi) ** 2
+        total += s / ((fxi - fz) * xi ** p)
+    return fz * fz * total / M
 
 
 def partial_sum_apply(D, target: CoeffPoly) -> CoeffPoly:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -132,6 +133,23 @@ class TestCheck:
                                "--pmax", "2", "--M", "1024")
             assert code == 0
             assert "contour p=2: ok" in out
+
+    @pytest.mark.parametrize("argv, code, digest", [
+        ((), 0, "0849e588822a354444247c7f01efea0cebdcc70b75a3b45beae2b00a588358cc"),
+        (("--M", "1"), 1,
+         "83ebeaa245c655c220377a544e7291aed1dcda91dacb5a7a6a3b9744687388de"),
+        (("--M", "3", "--pmax", "6"), 1,
+         "292067a1156d905d46f372bea2fa20a4b67a7a8f40ad525ecdaba3da3ae06598"),
+        (("--M", "1000", "--z=-0.2+0.1j", "--rho=-1/2"), 0,
+         "c7a0adc94c035c8f8d91ec094332e7f7018beaf805c32a5a95bf3ef259721ad6"),
+    ])
+    def test_contour_json_pinned(self, capsys, argv, code, digest):
+        # The whole contour output, floats included, byte for byte; with one
+        # or three nodes the quadrature has not converged, so check exits 1.
+        got, out, _ = run(capsys, "check", "--suite", "contour", "--format",
+                          "json", *argv)
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_all_gate_small_order(self, capsys):
         code, out, _ = run(capsys, "check", "--suite", "all", "--order", "2",
@@ -279,6 +297,9 @@ class TestUsage:
          "--z 1/0 has a zero denominator"),
         (("eval", "--family", "faber", "--index", "2", "--seed", "zero",
           "--at", "1e300"), "F_2 overflows a complex float at --at 1e300"),
+        (("check", "--suite", "contour", "--z", "0", "--pmax", "2"),
+         "z = 0 is a pole of phi_2"),
+        (("check", "--suite", "all", "--z", "0"), "z = 0 is a pole of phi_2"),
     ])
     def test_unusable_point_is_an_error(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

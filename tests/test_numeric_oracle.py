@@ -13,12 +13,12 @@ from faberfields.numeric_oracle import (
     random_seed,
     zero_seed,
 )
-from faberfields.polyring import CoeffPoly, c, mono_values
+from faberfields.polyring import CoeffPoly, MissingVariableError, MonoPlan, c
 from faberfields.reports import IdentityPair
 from faberfields.series import seed_series
 from faberfields import suites
 
-from .oracles import termwise_specialize
+from .oracles import per_p_quadrature, termwise_specialize
 from .strategies import coeff_polys, rationals
 
 sweep_polys = st.one_of(st.just(CoeffPoly.zero()), rationals.map(CoeffPoly.const),
@@ -26,6 +26,7 @@ sweep_polys = st.one_of(st.just(CoeffPoly.zero()), rationals.map(CoeffPoly.const
 values4 = st.lists(st.complex_numbers(max_magnitude=3, allow_nan=False,
                                       allow_infinity=False),
                    min_size=4, max_size=4)
+exact_values4 = st.lists(rationals, min_size=4, max_size=4)
 
 
 def _bits(z: complex):
@@ -76,7 +77,7 @@ class TestSeeds:
 
 class TestContour:
     def test_zero_seed_p2_vanishes(self):
-        rep = contour_check(zero_seed(), 2, 0.3, 0.6, 512)
+        [rep] = contour_check(zero_seed(), [2], 0.3, 0.6, 512)
         assert abs(rep.lhs) < 1e-12
         assert abs(rep.rhs) < 1e-12
         assert rep.ok
@@ -86,8 +87,9 @@ class TestContour:
         for rho in (Fraction(1, 2), Fraction(-1, 2)):
             seed = koebe_seed(rho)
             assert seed.univalence_radius == 2.0
-            for p in range(5):
-                rep = contour_check(seed, p, 0.3, 0.6, 4096)
+            reports = contour_check(seed, range(5), 0.3, 0.6, 4096)
+            assert [rep.p for rep in reports] == list(range(5))
+            for rep in reports:
                 assert rep.status == "ok"
                 assert rep.gap <= 1e-9
                 assert rep.self_gap <= 1e-11
@@ -96,37 +98,59 @@ class TestContour:
         # p = 0: the integral equals z f'(z) - f(z) at the seed.
         seed = koebe_seed(Fraction(1, 2))
         z = 0.3
-        rep = contour_check(seed, 0, z, 0.6, 2048)
+        [rep] = contour_check(seed, [0], z, 0.6, 2048)
         want = z * seed.fprime(z) - seed.f(z)
         assert abs(rep.lhs - want) < 1e-10
 
     def test_complex_z(self):
         seed = koebe_seed(Fraction(1, 2))
-        rep = contour_check(seed, 2, 0.2 + 0.1j, 0.6, 2048)
+        [rep] = contour_check(seed, [2], 0.2 + 0.1j, 0.6, 2048)
         assert rep.ok
 
     def test_contour_preconditions(self):
         seed = koebe_seed(Fraction(1, 2))
         with pytest.raises(ValueError):
-            contour_check(seed, 1, 0.7, 0.6, 256)  # |z| >= r
+            contour_check(seed, [1], 0.7, 0.6, 256)  # |z| >= r
         with pytest.raises(ValueError):
-            contour_check(seed, 1, 0.3, 2.5, 256)  # r >= univalence radius
+            contour_check(seed, [1], 0.3, 2.5, 256)  # r >= univalence radius
         with pytest.raises(ValueError):
-            contour_check(random_seed(1), 1, 0.3, 0.6, 256)  # no evaluators
+            contour_check(random_seed(1), [1], 0.3, 0.6, 256)  # no evaluators
+        # phi_p has a pole of order p - 1 at z = 0, so any p >= 2 refuses it.
+        with pytest.raises(ValueError, match="z = 0 is a pole of phi_2"):
+            contour_check(seed, range(4), 0, 0.6, 256)
+        assert all(rep.ok for rep in contour_check(seed, [0, 1], 0, 0.6, 256))
 
     @pytest.mark.parametrize("M", [0, -1])
     def test_no_quadrature_node_raises(self, M):
         # With no node the trapezoid mean divides by zero (M = 0) or sums
         # nothing; either way there is no quadrature to compare.
         with pytest.raises(ValueError, match="M >= 1"):
-            contour_check(koebe_seed(Fraction(1, 2)), 1, 0.3, 0.6, M)
+            contour_check(koebe_seed(Fraction(1, 2)), [1], 0.3, 0.6, M)
 
     def test_json_shape(self):
-        rep = contour_check(zero_seed(), 1, 0.3, 0.6, 256)
+        [rep] = contour_check(zero_seed(), [1], 0.3, 0.6, 256)
         obj = rep.to_json_obj()
         assert obj["check"] == "contour"
         assert obj["z"] == [0.3, 0.0]
         assert set(obj) >= {"p", "r", "M", "lhs", "rhs", "gap"}
+
+    @pytest.mark.parametrize("M", [1, 3, 512])
+    @pytest.mark.parametrize("seed, z", [
+        (koebe_seed(Fraction(1, 2)), 0.3),
+        (koebe_seed(Fraction(-1, 2)), -0.2 + 0.1j),
+    ])
+    def test_one_pass_equals_per_p_quadrature(self, seed, z, M):
+        # The shared node pass gives each p the sums of separate M- and
+        # 2M-node runs, bit for bit.
+        ps = range(7)
+        reports = contour_check(seed, ps, z, 0.6, M)
+        assert [rep.p for rep in reports] == list(ps)
+        for p, rep in zip(ps, reports):
+            lhs = per_p_quadrature(seed, p, z, 0.6, M)
+            lhs2 = per_p_quadrature(seed, p, z, 0.6, 2 * M)
+            assert _bits(rep.lhs) == _bits(lhs)
+            assert rep.self_gap.hex() == abs(lhs - lhs2).hex()
+            assert rep.gap.hex() == abs(lhs - rep.rhs).hex()
 
 
 class TestSweep:
@@ -178,24 +202,53 @@ class TestSweep:
     @given(st.lists(sweep_polys, min_size=1, max_size=4), values4)
     @settings(max_examples=200, deadline=None)
     def test_table_matches_specialize_bit_for_bit(self, polys, values):
-        # One table over the monomials of all polynomials, as a sweep draw
-        # fills it; zero, constant-only, Fraction-coefficient and random ones.
+        # One plan over all polynomials, as the sweep builds it; zero,
+        # constant-only, Fraction-coefficient and random ones.
         vals = dict(enumerate(values, 1))
-        table = mono_values({m: None for p in polys for m in p.terms}, vals)
-        for poly in polys:
-            got = _bits(complex(poly.evaluate(table)))
+        for poly, got in zip(polys, MonoPlan(polys).evaluate(vals)):
+            got = _bits(complex(got))
             assert got == _bits(complex(poly.specialize(vals)))
             assert got == _bits(complex(termwise_specialize(poly, vals)))
 
-    def test_one_table_per_draw(self, monkeypatch):
-        tables = []
+    @given(st.lists(sweep_polys, min_size=1, max_size=4),
+           st.one_of(values4, exact_values4),
+           st.sets(st.integers(min_value=1, max_value=4)))
+    @settings(max_examples=300, deadline=None)
+    def test_plan_matches_termwise_specialize(self, polys, values, absent):
+        # Exact values give the same exact value and type, complex ones the
+        # same bits; a missing c_j names the first index termwise meets.
+        vals = {j: v for j, v in enumerate(values, 1) if j not in absent}
+        try:
+            want = [termwise_specialize(poly, vals) for poly in polys]
+        except MissingVariableError as exc:
+            with pytest.raises(MissingVariableError) as got:
+                MonoPlan(polys).evaluate(vals)
+            assert got.value.index == exc.index
+            return
+        got = MonoPlan(polys).evaluate(vals)
+        assert [type(v) for v in got] == [type(v) for v in want]
+        if all(isinstance(v, complex) for v in values):
+            assert [_bits(complex(v)) for v in got] == [_bits(complex(v)) for v in want]
+        else:
+            assert got == want
 
-        def counted(monos, values):
-            tables.append(len(monos))
-            return mono_values(monos, values)
+    def test_one_plan_per_sweep(self, monkeypatch):
+        plans, fills = [], []
 
-        monkeypatch.setattr(numeric_oracle, "mono_values", counted)
+        class Counted(MonoPlan):
+            __slots__ = ()
+
+            def __init__(self, polys):
+                polys = list(polys)
+                plans.append(len(polys))
+                super().__init__(polys)
+
+            def evaluate(self, values):
+                fills.append(len(values))
+                return super().evaluate(values)
+
+        monkeypatch.setattr(numeric_oracle, "MonoPlan", Counted)
         pairs = suites.collect_pairs(order=2)
         assert numeric_identity_sweep(pairs, draws=3).passed
-        distinct = {m for p in pairs for side in (p.lhs, p.rhs) for m in side.terms}
-        assert tables == [len(distinct)] * 3
+        assert plans == [2 * len(pairs)]
+        assert len(fills) == 3
