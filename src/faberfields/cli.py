@@ -17,7 +17,6 @@ from . import faberkernel, inversion, suites
 from .numeric_oracle import contour_check, koebe_seed, numeric_identity_sweep, \
     random_seed, zero_seed
 from .polyring import CoeffPoly
-from .series import WPoly
 
 
 class UsageError(Exception):
@@ -94,13 +93,11 @@ def _coeff_out(poly: CoeffPoly, values, json_out: bool):
 
 
 def _terms(entry):
-    """A table entry's marker variable and its (exponent, coefficient) terms as
-    stored: w for F_n and T_n, u for Lambda_p, none for a bare coefficient."""
+    """A table entry's marker variable and its nonzero (exponent, coefficient)
+    terms: w for F_n and T_n, u for Lambda_p, none for a bare coefficient."""
     if isinstance(entry, CoeffPoly):
         return None, [(0, entry)]
-    if isinstance(entry, WPoly):
-        return "w", list(enumerate(entry.coeffs))
-    return "u", list(entry.entries.items())
+    return entry.var, list(entry.entries.items())
 
 
 def _power(var: str, e: int) -> str:

@@ -25,36 +25,37 @@ and a_p^p = B_0^p.  Every table builder, here and in ``kirillov`` and
 Every power of the seed, of either sign, comes from one kernel, Miller's
 recurrence on f/z (``series.unit_pow``): each f^e through ``_f_power``, and
 r = z/f = (f/z)^-1 and S = f'^2 (f/z)^-2, so no builder here takes a
-reciprocal or a product power of a series.  Lambda_p(f) and F_n(1/f) are
-each one sum sum_e c_e f^e over a table of those powers (``_eval_on_powers``),
-accumulated coefficient by coefficient only through the highest power of z
-that is read.  The elimination series E_p are keyed by that power, not by a
-seed order, so every caller builds exactly what it reads.
+reciprocal or a product power of a series.  Lambda_p(f) + z^(1-p) f' and
+F_n(1/f) are each one ``series.scaled_sum`` of those powers, accumulated
+coefficient by coefficient only through the highest power of z that is read.
+The elimination series E_p are keyed by that power, not by a seed order, so
+every caller builds exactly what it reads.
 Where two formulas exist for the same object, both are implemented and their
 exact equality is a checked property; the README names the code each side
 of a route check stands on.  Builders compute the seed truncation order they
 need, and the series layer raises OrderError on any overreach, so silently
-truncated tables cannot occur.  All tables are immutable once built;
-builders are cached.
+truncated tables cannot occur.  All tables are immutable once built; a
+builder is cached when a caller reads it twice or the benchmark reads its
+cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
-from .polyring import CoeffPoly, accumulate_product, poly_from_bucket
+from .polyring import CoeffPoly
 from .reports import CheckReport, IdentityPair, report_from_pairs, series_pairs
 from .series import (
     BiSeries,
     LaurentSeries,
     LaurentWPoly,
-    OrderError,
     PowerSeries,
     WPoly,
-    _make,
     bi_log_in_u,
     divided_difference,
+    scaled_sum,
     seed_series,
     unit_pow,
 )
@@ -104,68 +105,45 @@ def _f_power(order: int, e: int) -> LaurentSeries:
     return unit_pow(_seed(order).shift(-1), e).shift(e)
 
 
-def _eval_on_powers(poly: LaurentWPoly, pows: dict, top: int,
-                    base: LaurentSeries | None = None) -> LaurentSeries:
-    """base + poly(f) = base + sum_e poly[e] f^e through z^top, over a table
-    {e: f^e} of kernel powers.
-
-    Each power z^m read is one accumulation bucket, into which every term
-    adds (f^e)[m] * poly[e] (and ``base`` its own z^m coefficient), so no
-    series is built per term and nothing past z^top is multiplied.  Every
-    series summed must be known through z^top; the result has order top.
-    """
-    terms = [(pows[e], coeff) for e, coeff in poly.entries.items()]
-    if base is not None:
-        terms.append((base, CoeffPoly.one()))
-    buckets: dict[int, dict] = {}
-    for series, coeff in terms:
-        if series.order < top:
-            raise OrderError(top, series.order)
-        for m, cm in enumerate(series.coeffs, series.valuation):
-            if m > top:
-                break
-            if cm:
-                accumulate_product(buckets.setdefault(m, {}), cm, coeff)
-    return _make({m: poly_from_bucket(b) for m, b in buckets.items()}, top)
-
-
 # -- family containers ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class FaberFamily:
+class _IndexFamily:
+    """Entries ``first``..``max_index`` of a family with one index; ``name``
+    formats an entry's name for the IndexError of an index out of range."""
     max_index: int
-    entries: tuple[WPoly, ...]  # F_1 .. F_max_index
+    entries: tuple
     provenance: str = "generating-function"
+    first: ClassVar[int] = 1
+    name: ClassVar[str]
 
-    def poly(self, n: int) -> WPoly:
-        if not 1 <= n <= self.max_index:
-            raise IndexError(f"F_{n} not in family (have 1..{self.max_index})")
-        return self.entries[n - 1]
-
-
-@dataclass(frozen=True)
-class TFamily:
-    max_index: int
-    entries: tuple[WPoly, ...]  # T_0 .. T_max_index
-    provenance: str = "generating-function"
-
-    def poly(self, n: int) -> WPoly:
-        if not 0 <= n <= self.max_index:
-            raise IndexError(f"T_{n} not in family (have 0..{self.max_index})")
-        return self.entries[n]
+    def poly(self, i: int):
+        if not self.first <= i <= self.max_index:
+            raise IndexError(f"{self.name.format(i)} not in family "
+                             f"(have {self.first}..{self.max_index})")
+        return self.entries[i - self.first]
 
 
-@dataclass(frozen=True)
-class DiagonalCoeffs:
-    max_index: int
-    entries: tuple[CoeffPoly, ...]  # a_1^1 .. a_P^P
-    provenance: str = "generating-function"
+class FaberFamily(_IndexFamily):
+    """F_1 .. F_max_index, WPoly entries."""
+    name = "F_{}"
 
-    def a(self, p: int) -> CoeffPoly:
-        if not 1 <= p <= self.max_index:
-            raise IndexError(f"a_{p}^{p} not in table (have 1..{self.max_index})")
-        return self.entries[p - 1]
+
+class TFamily(_IndexFamily):
+    """T_0 .. T_max_index, WPoly entries."""
+    first, name = 0, "T_{}"
+
+
+class LambdaFamily(_IndexFamily):
+    """Lambda_0 .. Lambda_max_index, LaurentWPoly entries."""
+    first, name = 0, "Lambda_{}"
+
+
+class DiagonalCoeffs(_IndexFamily):
+    """a_1^1 .. a_P^P, CoeffPoly entries."""
+    name = "a_{0}^{0}"
+    a = _IndexFamily.poly
 
 
 @dataclass(frozen=True)
@@ -181,18 +159,6 @@ class GrunskyTable:
                 f"beta_{n},{k} not in table (have n<={self.n_max}, k<={self.k_max})"
             )
         return self.entries[(n, k)]
-
-
-@dataclass(frozen=True)
-class LambdaFamily:
-    max_index: int
-    entries: tuple[LaurentWPoly, ...]  # Lambda_0 .. Lambda_P
-    provenance: str = "generating-function"
-
-    def poly(self, p: int) -> LaurentWPoly:
-        if not 0 <= p <= self.max_index:
-            raise IndexError(f"Lambda_{p} not in family (have 0..{self.max_index})")
-        return self.entries[p]
 
 
 @dataclass(frozen=True)
@@ -258,7 +224,6 @@ def t_polys(N: int) -> TFamily:
     return TFamily(N, tuple(WPoly(row) for row in _marker_family(front, N)))
 
 
-@lru_cache(maxsize=None)
 def t_from_faber(N: int) -> TFamily:
     """Second route: T_n = [z^n] f'(z) F(z) with F_0 = 1, that is
     T_n = F_n + 2 c1 F_{n-1} + ... + n c_{n-1} F_1 + (n+1) c_n."""
@@ -290,7 +255,6 @@ def _grunsky_b(table: GrunskyTable | None, p: int, k: int) -> CoeffPoly:
     return fprime.coefficient(p + k) - _fprime_times(column)
 
 
-@lru_cache(maxsize=None)
 def diag_a_grunsky(P: int) -> DiagonalCoeffs:
     """Second route: a_p^p = B_0^p (``_grunsky_b``), that is
     a_p^p = (p+1) c_p - [beta_{p-1,1} + 2 c1 beta_{p-2,1} + ... + (p-1) c_{p-2} beta_{1,1}].
@@ -343,18 +307,18 @@ def grunsky_log(N: int, K: int) -> GrunskyTable:
 def grunsky_compose(N: int, K: int) -> GrunskyTable:
     """Second route: beta_{n,k} is the z^k coefficient of F_n(1/f(z)).
 
-    F_n(1/f) = sum_m F_n[m] f^-m is read off one table of kernel powers
-    f^-m, m = 0..N, each known exactly through the z^K read here.  The expansion
+    F_n(1/f) = sum_m F_n[m] f^-m is one ``scaled_sum`` over a table of kernel
+    powers f^-m, m = 0..N, each known exactly through the z^K read here.  The expansion
     structure F_n(1/f(z)) = z^-n + sum_{k>=1} beta_{n,k} z^k is verified
     while reading the table off.
     """
     if N < 1 or K < 1:
         raise ValueError("need N, K >= 1")
     fab = faber_polys(N)
-    pows = {-m: _f_power(K + m + 1, -m) for m in range(N + 1)}
+    pows = [_f_power(K + m + 1, -m) for m in range(N + 1)]  # f^-m
     entries = {}
     for n in range(1, N + 1):
-        expansion = _eval_on_powers(fab.poly(n).reciprocal_substitute(), pows, K)
+        expansion = scaled_sum([(pows[m], cm) for m, cm in fab.poly(n).entries.items()], K)
         if expansion.coefficient(-n) != CoeffPoly.one():
             raise EliminationError(n, -n, expansion.coefficient(-n) - 1)
         for m in range(-n + 1, 1):
@@ -384,7 +348,6 @@ def lambda_direct(P: int) -> LambdaFamily:
                                  for row in rows))
 
 
-@lru_cache(maxsize=None)
 def lambda_from_t(P: int) -> LambdaFamily:
     """Second route: Lambda_p(u) = -T_{p-1}(1/u) - a_p^p u for p >= 1."""
     if P < 0:
@@ -420,13 +383,14 @@ def _elimination_family(P: int, top: int) -> tuple:
     ``.order == top``.  Each power f^e, e = 1-P..1, is one run of the power
     kernel on f/z at seed order top + 1 - e (at least 1), so it is known
     exactly through z^top and no further, and no power costs a dense product
-    of two series.  Each E_p is one ``_eval_on_powers`` sum over that shared
-    table, with z^(1-p) f'(z) added into the same buckets.
+    of two series.  Each E_p is one ``scaled_sum`` over that shared table,
+    with z^(1-p) f'(z) as one more term.
     """
     fprime = _seed(max(top + P, 1)).derivative()
     lams = lambda_direct(P)
     pows = {e: _f_power(max(top + 1 - e, 1), e) for e in range(1 - P, 2)}
-    return tuple(_eval_on_powers(lams.poly(p), pows, top, fprime.shift(1 - p))
+    return tuple(scaled_sum([(pows[e], ce) for e, ce in lams.poly(p).entries.items()]
+                            + [(fprime.shift(1 - p), CoeffPoly.one())], top)
                  for p in range(P + 1))
 
 
@@ -466,7 +430,6 @@ def a_field_direct(P: int, N: int) -> AFieldTable:
     return AFieldTable(P, N, a_entries, b_entries, provenance="elimination")
 
 
-@lru_cache(maxsize=None)
 def a_field_grunsky(P: int, N: int) -> AFieldTable:
     """Second route, via Grunsky coefficients (``_grunsky_b``):
 
@@ -520,7 +483,7 @@ def grunsky_symmetry_check(N: int) -> CheckReport:
     return report_from_pairs("grunsky-symmetry", grunsky_symmetry_pairs(N), ("n", "k"))
 
 
-def route_equivalence_pairs(n: int = 10, afield: int = 8):
+def route_equivalence_pairs(n: int, afield: int):
     """Both routes of the Grunsky table, T_n, a_p^p and Lambda_p at size n,
     and of the A and B tables on the square p, n <= afield."""
     g1 = grunsky_log(n, n)

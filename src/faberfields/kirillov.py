@@ -21,7 +21,7 @@ from typing import Callable
 from .faberkernel import AFieldTable, _elimination_family, _seed, a_field_direct, lambda_direct
 from .polyring import CoeffPoly, mono_div_at, mono_mul, poly_from_bucket
 from .reports import CheckReport, IdentityPair, report_from_pairs, series_pairs
-from .series import LaurentSeries, LaurentWPoly, WPoly, _make, unit_pow
+from .series import LaurentSeries, LaurentWPoly, _make, unit_pow
 
 
 class Derivation:
@@ -101,8 +101,6 @@ class Derivation:
                 if c:
                     data[v + i] = self.apply_poly(c)
             return _make(data, target.order)
-        if isinstance(target, WPoly):
-            return target.map_coeffs(self.apply_poly)
         if isinstance(target, LaurentWPoly):
             return target.map_coeffs(self.apply_poly)
         raise TypeError(f"cannot apply a derivation to {type(target).__name__}")
@@ -159,8 +157,7 @@ def make_L(k: int, afield: AFieldTable | None = None) -> Derivation:
 # report of those pairs, and the numeric sweep specializes the same pairs.
 
 
-def negative_action_pairs(pmax: int, N: int | None = None, pmin: int = 1,
-                          table: AFieldTable | None = None):
+def negative_action_pairs(pmax: int, N: int | None = None, pmin: int = 1):
     """The derivation built from the A table reproduces the elimination form:
 
         L_{-p} f(z) = z^(1-p) f'(z) + Lambda_p(f(z))   through z^N,
@@ -168,13 +165,11 @@ def negative_action_pairs(pmax: int, N: int | None = None, pmin: int = 1,
     for pmin <= p <= pmax, one pair per power z^m.  The single comparison
     order N (default 2 pmax + 10, so at least 2p + 10 for every p) lets all
     indices share one eliminator family, read through z^N, and one A table,
-    which may be passed in if it covers (pmax, N-1).  The default table
-    a_field_direct(pmax, N-1) reads the same cached family.
+    a_field_direct(pmax, N-1), which reads the same cached family.
     """
     if N is None:
         N = 2 * pmax + 10
-    if table is None:
-        table = a_field_direct(pmax, max(N - 1, 1))
+    table = a_field_direct(pmax, max(N - 1, 1))
     family = _elimination_family(pmax, N)
     f = _seed(N)
     for p in range(pmin, pmax + 1):
@@ -182,11 +177,11 @@ def negative_action_pairs(pmax: int, N: int | None = None, pmin: int = 1,
                                 make_L(-p, table).apply(f), family[p], N)
 
 
-def check_negative_action(p: int, N: int, table: AFieldTable | None = None) -> CheckReport:
+def check_negative_action(p: int, N: int) -> CheckReport:
     """negative_action_pairs for the single index p, through z^N."""
     if p < 1:
         raise ValueError("need p >= 1")
-    return report_from_pairs("negative-action", negative_action_pairs(p, N, p, table),
+    return report_from_pairs("negative-action", negative_action_pairs(p, N, p),
                              ("p", "N"))
 
 

@@ -2,8 +2,12 @@
 
 The series layer supplies everything the generating-function constructions
 need: univariate power and Laurent series in one formal variable ``z``,
-polynomials and finite Laurent polynomials in a marker variable (``w`` or
-``u``), and rectangularly truncated bivariate series.
+finite Laurent polynomials in a marker variable ``u`` (``LaurentWPoly``) and
+their subclass of polynomials in ``w`` (``WPoly``), and rectangularly
+truncated bivariate series.  A sum sum c s of series s with coefficients c
+over a table of seed powers, and the sum of a composition, is one
+:func:`scaled_sum`; ``LaurentWPoly.eval_at`` walks the powers of its argument
+instead and calls no :func:`scaled_sum`, so it can check those sums.
 
 Truncation discipline
 ---------------------
@@ -105,9 +109,9 @@ class LaurentSeries:
 
     Coefficients below ``valuation`` are exactly zero; coefficients above
     ``order`` are unknown.  ``order`` may be ``math.inf`` for exact objects.
-    If ``valuation >= 0`` the constructor machinery produces a
-    :class:`PowerSeries` instead, so Laurent instances always mean "may have
-    a principal part".
+    The constructor keeps the class it is called on, whatever the valuation;
+    the results of operations are :class:`PowerSeries` when their valuation
+    is >= 0 and :class:`LaurentSeries` otherwise.  Equality ignores the class.
     """
 
     __slots__ = ("valuation", "order", "coeffs")
@@ -444,6 +448,26 @@ def ps_log(a: LaurentSeries) -> LaurentSeries:
     return (a.derivative() / a).integrate(0)
 
 
+def scaled_sum(terms, top) -> LaurentSeries:
+    """sum c s over the (s, c) pairs of ``terms``, through z^top.
+
+    Each power z^m read is one accumulation bucket, into which every term
+    adds s[m] c, so no scaled series is built and nothing past z^top is
+    multiplied.  Every series summed must be known through z^top (else
+    OrderError); the result has order ``top``.
+    """
+    buckets: dict[int, dict] = {}
+    for series, coeff in terms:
+        if series.order < top:
+            raise OrderError(top, series.order)
+        for m, sm in enumerate(series.coeffs, series.valuation):
+            if m > top:
+                break
+            if sm:
+                accumulate_product(buckets.setdefault(m, {}), sm, coeff)
+    return _make({m: poly_from_bucket(b) for m, b in buckets.items()}, top)
+
+
 def ps_compose(outer: LaurentSeries, inner: LaurentSeries) -> LaurentSeries:
     """outer(inner) for inner with zero constant term, as sum_k outer_k inner^k.
 
@@ -452,7 +476,7 @@ def ps_compose(outer: LaurentSeries, inner: LaurentSeries) -> LaurentSeries:
     ``inner^(k-1) * inner`` cut at ``target``, and the sum stops at the first
     power that is zero through ``target``; when inner has single-monomial
     coefficients, as the seed does, every power product is dense x monomial.
-    Each ``outer_k [z^j] inner^k`` goes into one accumulator per z^j.
+    The powers are summed by :func:`scaled_sum`.
     """
     if outer.valuation < 0:
         raise SeriesError("composition target must have no principal part")
@@ -463,18 +487,19 @@ def ps_compose(outer: LaurentSeries, inner: LaurentSeries) -> LaurentSeries:
         target = INF if outer.order is INF else inner.order
     else:
         target = min(inner.order, (outer.order + 1) * q - 1)
-    buckets: dict[int, dict] = {}
-    power: LaurentSeries = const_series(1)  # inner^k
-    k = 0
-    for m, c in outer._stored():
-        while k < m and not power.is_zero():
-            power = (power * inner).truncate(target)
-            k += 1
-        if power.is_zero():
-            break
-        for j, p in power._stored():
-            accumulate_product(buckets.setdefault(j, {}), c, p)
-    return _make({j: poly_from_bucket(b) for j, b in buckets.items()}, target)
+
+    def terms():
+        power: LaurentSeries = const_series(1)  # inner^k
+        k = 0
+        for m, c in outer._stored():
+            while k < m and not power.is_zero():
+                power = (power * inner).truncate(target)
+                k += 1
+            if power.is_zero():
+                return
+            yield power, c
+
+    return scaled_sum(terms(), target)
 
 
 def reversion_powers(a: LaurentSeries, qs) -> dict:
@@ -551,110 +576,18 @@ def series_agree(a: LaurentSeries, b: LaurentSeries, through, start=None) -> int
 # -- marker-variable polynomials -------------------------------------------------
 
 
-class WPoly:
-    """Polynomial in a marker variable w with CoeffPoly coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence):
-        cleaned = [_coeff(c) for c in coeffs]
-        while cleaned and cleaned[-1].is_zero():
-            cleaned.pop()
-        self.coeffs = tuple(cleaned)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, k: int) -> CoeffPoly:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return CoeffPoly.zero()
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, CoeffPoly)):
-            other = WPoly([other])
-        if not isinstance(other, WPoly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return WPoly([self.coefficient(k) + other.coefficient(k) for k in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return WPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CoeffPoly)):
-            other = WPoly([other])
-        if not isinstance(other, WPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CoeffPoly)):
-            s = _coeff(other)
-            return WPoly([c * s for c in self.coeffs])
-        if not isinstance(other, WPoly):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return WPoly([])
-        out = [CoeffPoly.zero()] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return WPoly(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, WPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def deriv_w(self) -> "WPoly":
-        return WPoly([c * k for k, c in enumerate(self.coeffs)][1:])
-
-    def eval_at(self, x: LaurentSeries) -> LaurentSeries:
-        """Substitute a series for w, as :meth:`LaurentWPoly.eval_at` does."""
-        return LaurentWPoly(dict(enumerate(self.coeffs))).eval_at(x)
-
-    def reciprocal_substitute(self) -> "LaurentWPoly":
-        """Substitute w -> 1/u: degree d maps to exponent range -d..0."""
-        return LaurentWPoly({-k: c for k, c in enumerate(self.coeffs)})
-
-    def map_coeffs(self, fn) -> "WPoly":
-        return WPoly([fn(c) for c in self.coeffs])
-
-    def render(self, var: str = "w") -> str:
-        terms = [(k, c) for k, c in enumerate(self.coeffs) if c]
-        return _join_terms(reversed(terms), var)
-
-    def __repr__(self):
-        return f"<WPoly {self.render()}>"
-
-    def to_json_obj(self, coeff=CoeffPoly.to_json_terms) -> dict:
-        """``coeff`` writes each coefficient; by default, as its exact JSON terms."""
-        return {
-            "degree": self.degree,
-            "coeffs": [coeff(c) for c in self.coeffs],
-        }
-
-    @classmethod
-    def from_json_obj(cls, data: dict) -> "WPoly":
-        return cls([CoeffPoly.from_json_terms(t) for t in data["coeffs"]])
-
-
 class LaurentWPoly:
-    """Finite Laurent polynomial in a marker variable u with CoeffPoly entries."""
+    """Finite Laurent polynomial in a marker variable u with CoeffPoly entries.
+
+    ``entries`` maps each exponent to its nonzero coefficient.
+    :class:`WPoly` is the subclass with no negative exponent.  Negation,
+    ``scale`` and ``map_coeffs`` keep the operand's class; a sum or difference
+    is a WPoly when both operands are, and a LaurentWPoly otherwise.  A scalar
+    operand is the u^0 term.  Objects of different classes never compare equal.
+    """
 
     __slots__ = ("entries",)
+    var = "u"
 
     def __init__(self, entries: dict[int, object] | None = None):
         clean: dict[int, CoeffPoly] = {}
@@ -664,6 +597,13 @@ class LaurentWPoly:
                 if c:
                     clean[e] = c
         self.entries = clean
+
+    @classmethod
+    def _of(cls, entries: dict) -> "LaurentWPoly":
+        """The ``cls`` object with these exponent -> coefficient entries."""
+        obj = object.__new__(cls)
+        LaurentWPoly.__init__(obj, entries)
+        return obj
 
     @property
     def min_exponent(self) -> int | None:
@@ -680,29 +620,32 @@ class LaurentWPoly:
         return not self.entries
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction, CoeffPoly)):
+            other = type(self)._of({0: other})
         if not isinstance(other, LaurentWPoly):
             return NotImplemented
         out = dict(self.entries)
         for e, c in other.entries.items():
             out[e] = out.get(e, CoeffPoly.zero()) + c
-        return LaurentWPoly(out)
+        cls = type(self) if type(other) is type(self) else LaurentWPoly
+        return cls._of(out)
+
+    __radd__ = __add__
 
     def __neg__(self):
-        return LaurentWPoly({e: -c for e, c in self.entries.items()})
+        return type(self)._of({e: -c for e, c in self.entries.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, LaurentWPoly):
-            return NotImplemented
         return self + (-other)
 
     def scale(self, s) -> "LaurentWPoly":
         s = _coeff(s)
-        return LaurentWPoly({e: c * s for e, c in self.entries.items()})
+        return type(self)._of({e: c * s for e, c in self.entries.items()})
 
     def __eq__(self, other):
         if not isinstance(other, LaurentWPoly):
             return NotImplemented
-        return self.entries == other.entries
+        return type(self) is type(other) and self.entries == other.entries
 
     def eval_at(self, x: LaurentSeries) -> LaurentSeries:
         """Substitute a series for u; negative exponents go through 1/x.
@@ -734,13 +677,13 @@ class LaurentWPoly:
         return _make(dict(self.entries), INF)
 
     def map_coeffs(self, fn) -> "LaurentWPoly":
-        return LaurentWPoly({e: fn(c) for e, c in self.entries.items()})
+        return type(self)._of({e: fn(c) for e, c in self.entries.items()})
 
-    def render(self, var: str = "u") -> str:
-        return _join_terms(sorted(self.entries.items(), reverse=True), var)
+    def render(self, var: str | None = None) -> str:
+        return _join_terms(sorted(self.entries.items(), reverse=True), var or self.var)
 
     def __repr__(self):
-        return f"<LaurentWPoly {self.render()}>"
+        return f"<{type(self).__name__} {self.render()}>"
 
     def to_json_obj(self, coeff=CoeffPoly.to_json_terms) -> dict:
         """``coeff`` writes each coefficient; by default, as its exact JSON terms."""
@@ -751,6 +694,61 @@ class LaurentWPoly:
     def from_json_obj(cls, data: dict) -> "LaurentWPoly":
         return cls({int(e): CoeffPoly.from_json_terms(t)
                     for e, t in data["exponents"].items()})
+
+
+class WPoly(LaurentWPoly):
+    """Polynomial in a marker variable w: a LaurentWPoly with no negative
+    exponent, built from its dense coefficients of w^0, w^1, ..."""
+
+    __slots__ = ()
+    var = "w"
+
+    def __init__(self, coeffs: Sequence):
+        super().__init__(dict(enumerate(coeffs)))
+
+    @property
+    def degree(self) -> int:
+        return max(self.entries, default=-1)
+
+    @property
+    def coeffs(self) -> tuple[CoeffPoly, ...]:
+        """The coefficients of w^0 .. w^degree, zeros included."""
+        return tuple(self.coefficient(k) for k in range(self.degree + 1))
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, CoeffPoly)):
+            return self.scale(other)
+        if not isinstance(other, WPoly):
+            return NotImplemented
+        out: dict[int, CoeffPoly] = {}
+        for i, a in self.entries.items():
+            for j, b in other.entries.items():
+                out[i + j] = out.get(i + j, CoeffPoly.zero()) + a * b
+        return WPoly._of(out)
+
+    __rmul__ = __mul__
+
+    def deriv_w(self) -> "WPoly":
+        return WPoly._of({k - 1: c * k for k, c in self.entries.items() if k})
+
+    def eval_at(self, x: LaurentSeries) -> LaurentSeries:
+        """Substitute a series for w, as :meth:`LaurentWPoly.eval_at` does."""
+        return LaurentWPoly.eval_at(self, x)
+
+    def reciprocal_substitute(self) -> LaurentWPoly:
+        """Substitute w -> 1/u: degree d maps to exponent range -d..0."""
+        return LaurentWPoly({-k: c for k, c in self.entries.items()})
+
+    def to_json_obj(self, coeff=CoeffPoly.to_json_terms) -> dict:
+        """``coeff`` writes each coefficient; by default, as its exact JSON terms."""
+        return {
+            "degree": self.degree,
+            "coeffs": [coeff(c) for c in self.coeffs],
+        }
+
+    @classmethod
+    def from_json_obj(cls, data: dict) -> "WPoly":
+        return cls([CoeffPoly.from_json_terms(t) for t in data["coeffs"]])
 
 
 # -- bivariate series -------------------------------------------------------------

@@ -151,6 +151,21 @@ class TestCheck:
         assert got == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("order, digest", [
+        (2, "512100f7da4dc5f4ebc8aaeed7a99895686aea5d1d47507afcdb35470aeea5eb"),
+        (4, "2afb52585a3312654d43dcf8ec38a541f896bdffdffbab357ce7d3c802e16d05"),
+        (5, "ddcb97a48ad5acd334b4d6b25dc0020c64f8b35e3a1e9c3eadfb31c4f1482364"),
+        (6, "ab3f7f9294eb51758fa8d6b3c8ae5d884fabab6346dfdf070ecbf56c0360fae8"),
+    ])
+    def test_all_json_pinned(self, capsys, order, digest):
+        # The whole gate output byte for byte: every exact suite's cells,
+        # the numeric sweep and the contour run.  Order 3 is pinned cell by
+        # cell by tests/data/check_all_order3.json.
+        code, out, _ = run(capsys, "check", "--suite", "all", "--order", str(order),
+                           "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_all_gate_small_order(self, capsys):
         code, out, _ = run(capsys, "check", "--suite", "all", "--order", "2",
                            "--draws", "2", "--M", "512")

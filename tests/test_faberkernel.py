@@ -9,8 +9,8 @@ from faberfields import faberkernel, inversion, polyring, series
 from faberfields.faberkernel import (
     EliminationError,
     _elimination_family,
-    _eval_on_powers,
     _f_power,
+    _phi_generating_rows,
     _seed,
     a_field_direct,
     a_field_grunsky,
@@ -41,6 +41,7 @@ from faberfields.series import (
     const_series,
     laurent_pow,
     laurent_recip,
+    scaled_sum,
     seed_series,
     series_agree,
 )
@@ -96,8 +97,9 @@ def refuse_everywhere(monkeypatch, targets, message):
 @pytest.fixture
 def cold_caches(monkeypatch):
     """Bind an empty copy of every cached builder for the test, so the
-    builders it reaches run their own code under its patches; the warm
-    caches come back untouched afterwards, holding nothing built under them."""
+    builders it reaches, cached or not, run their own code under its patches;
+    the warm caches come back untouched afterwards, holding nothing built
+    under them."""
     for mod in (faberkernel, inversion):
         for name, fn in list(vars(mod).items()):
             if hasattr(fn, "cache_info") and fn.__module__ == mod.__name__:
@@ -316,6 +318,16 @@ class TestPhi:
     def test_generating_form(self):
         assert suite_report("phi-generating", phi_generating_pairs(4, 7)).passed
 
+    def test_phi_p_stands_apart_from_scaled_sum(self, monkeypatch, cold_caches):
+        # phi-generating compares the scaled_sum rows with phi_p, which
+        # evaluates Lambda_p at f by walking powers; that side must build
+        # with the sum kernel refused.
+        rows = _phi_generating_rows(6, 10)
+        refuse_everywhere(monkeypatch, ((series, "scaled_sum"),),
+                          "phi_p reached the scaled-sum kernel")
+        for p, row in enumerate(rows):
+            assert phi_p(p, 10) == row, p
+
 
 class TestAField:
     def test_row_zero(self):
@@ -408,7 +420,7 @@ class TestSeedPowers:
 class TestOneKernel:
     """Every table builder reaches powers of the seed only through unit_pow."""
 
-    #: Arguments for every cached builder of ``faberkernel``.
+    #: Arguments for every table builder of ``faberkernel``.
     BUILDER_ARGS = {
         "_seed": (6,), "_r_series": (6,), "_s_series": (6,), "faber_polys": (4,),
         "t_polys": (4,), "t_from_faber": (4,), "diag_a": (4,), "diag_a_grunsky": (4,),
@@ -416,15 +428,23 @@ class TestOneKernel:
         "lambda_from_t": (4,), "_elimination_family": (4, 6),
         "a_field_direct": (3, 4), "a_field_grunsky": (3, 4),
     }
+    #: The builders that no caller reads twice, so they keep no cache.
+    UNCACHED = {"t_from_faber", "diag_a_grunsky", "lambda_from_t", "a_field_grunsky"}
+
+    def build_all(self, skip=()):
+        """Run each builder's own code, past its cache if it has one."""
+        for name, args in self.BUILDER_ARGS.items():
+            if name not in skip:
+                fn = getattr(faberkernel, name)
+                getattr(fn, "__wrapped__", fn)(*args)
 
     def test_builders_avoid_product_routes(self, monkeypatch):
-        builders = {name for name, obj in vars(faberkernel).items()
-                    if hasattr(obj, "cache_info")}
-        assert builders == set(self.BUILDER_ARGS)
+        cached = {name for name, obj in vars(faberkernel).items()
+                  if hasattr(obj, "cache_info")}
+        assert cached == set(self.BUILDER_ARGS) - self.UNCACHED
         refuse_everywhere(monkeypatch, PRODUCT_ROUTES,
                           "a builder reached a reciprocal, product power or evaluator")
-        for name, args in self.BUILDER_ARGS.items():
-            getattr(faberkernel, name).__wrapped__(*args)
+        self.build_all()
         inverse_deriv_coeffs(8)
         pows = _reverse_powers(_reversion.__wrapped__(10), -4, 4)
         assert sorted(pows) == list(range(-4, 5))
@@ -437,9 +457,7 @@ class TestOneKernel:
         patch_everywhere(monkeypatch, ((faberkernel, "_seed"),), seeds.__getitem__)
         refuse_everywhere(monkeypatch, ((series, "seed_series"), (polyring.CoeffPoly, "var")),
                           "a builder read the seed past faberkernel._seed")
-        for name, args in self.BUILDER_ARGS.items():
-            if name != "_seed":
-                getattr(faberkernel, name).__wrapped__(*args)
+        self.build_all(skip=("_seed",))
         assert inverse_deriv_coeffs(8) == want
         _reversion.__wrapped__(10)
         table = reverse_table(-4, 4, 8)
@@ -488,7 +506,14 @@ class TestOneKernel:
         assert inverse_deriv_coeffs(order) == recip_inverse_deriv_coeffs(order)
 
 
+def terms_of(poly, pows: dict) -> list:
+    """The (f^e, poly[e]) terms of poly(f) over a table {e: f^e}."""
+    return [(pows[e], coeff) for e, coeff in poly.entries.items()]
+
+
 class TestEvalOnPowers:
+    """Evaluation on a table of seed powers, one ``scaled_sum`` of its terms."""
+
     @pytest.mark.parametrize("N, K", [(1, 1), (3, 4), (5, 6)])
     def test_matches_scale_and_add(self, N, K):
         # The bucket sum against one scaled series and one series sum per term.
@@ -497,25 +522,24 @@ class TestEvalOnPowers:
             poly = faber_polys(N).poly(n).reciprocal_substitute()
             want = scale_add_eval(poly, pows)
             assert want.order == K
-            assert _eval_on_powers(poly, pows, K) == want
+            assert scaled_sum(terms_of(poly, pows), K) == want
 
     def test_base_joins_the_buckets(self):
+        # z^(1-p) f' of E_p is one more term of the same sum.
         P, top = 3, 7
         f = _seed(top + P)
         pows = {e: _f_power(top + 1 - e, e) for e in range(1 - P, 2)}
         lam = lambda_direct(P).poly(P)
         base = f.derivative().shift(1 - P)
         want = (base + scale_add_eval(lam, pows)).truncate(top)
-        assert _eval_on_powers(lam, pows, top, base) == want
+        assert scaled_sum(terms_of(lam, pows) + [(base, one)], top) == want
 
     def test_short_power_raises(self):
-        pows = {-1: _f_power(4, -1)}  # known through z^2
         with pytest.raises(series.OrderError):
-            _eval_on_powers(LaurentWPoly({-1: one}), pows, 3)
+            scaled_sum([(_f_power(4, -1), one)], 3)  # f^-1 known through z^2
 
     def test_stops_at_top(self):
-        pows = {1: _f_power(9, 1)}
-        got = _eval_on_powers(LaurentWPoly({1: c1}), pows, 4)
+        got = scaled_sum([(_f_power(9, 1), c1)], 4)
         assert got.order == 4
         assert got == _f_power(9, 1).scale(c1).truncate(4)
 

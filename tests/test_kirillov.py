@@ -255,8 +255,8 @@ class TestDerivationKernel:
 class TestWholeValues:
     def test_tables(self):
         polys = list(grunsky_log(6, 6).entries.values())
-        polys += list(a_field_grunsky(4, 6).a_entries.values())
-        polys += list(a_field_grunsky(4, 6).b_entries.values())
+        grunsky = a_field_grunsky(4, 6)
+        polys += list(grunsky.a_entries.values()) + list(grunsky.b_entries.values())
         for lam in lambda_direct(8).entries:
             polys += list(lam.entries.values())
         assert polys

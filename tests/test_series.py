@@ -411,6 +411,17 @@ class TestUnitPow:
 
 
 class TestLaurent:
+    def test_constructor_keeps_its_class(self):
+        # The constructor never switches class; operation results pick
+        # PowerSeries or LaurentSeries by valuation, and equality ignores it.
+        a = LaurentSeries(0, [1, 2])
+        b = LaurentSeries(-2, [0, 0, 1])
+        assert type(a) is LaurentSeries and type(b) is LaurentSeries
+        assert b.valuation == 0
+        assert a == PowerSeries([1, 2]) and b == PowerSeries([1])
+        assert type(a + 0) is PowerSeries
+        assert type(a.shift(-1)) is LaurentSeries
+
     def test_reciprocal_of_seed(self):
         # 1/f = 1/z - c1 + (c1^2 - c2) z + (2 c1 c2 - c1^3 - c3) z^2 + ...
         h = laurent_recip(seed_series(4))
@@ -547,6 +558,46 @@ class TestWPoly:
     def test_render_descending(self):
         f2 = WPoly([c2 * 2 - c1 * c1, c1 * 2, one])
         assert f2.render() == "w^2 + 2*c1*w + (2*c2 - c1^2)"
+
+
+class TestMarkerClasses:
+    """WPoly is the LaurentWPoly with no negative exponent."""
+
+    W = WPoly([c1, zero, c2])  # c2 w^2 + c1
+    L = LaurentWPoly({-1: c3, 0: one})  # c3 u^-1 + 1
+
+    def test_shared_operations_keep_the_class(self):
+        for x in (self.W, self.L):
+            for got in (x + x, x - x, -x, x + 1, 2 + x, x - c1, x.scale(c2),
+                        x.map_coeffs(lambda q: q * 3)):
+                assert type(got) is type(x), got
+        for got in (self.W * self.W, self.W * c1, c1 * self.W, self.W.deriv_w()):
+            assert type(got) is WPoly, got
+
+    def test_scalar_is_the_constant_term(self):
+        assert self.W + 1 == WPoly([c1 + 1, zero, c2])
+        assert self.W - c1 == WPoly([zero, zero, c2])
+        assert self.L - c1 == LaurentWPoly({-1: c3, 0: one - c1})
+        assert 2 + self.L == LaurentWPoly({-1: c3, 0: 3})
+
+    def test_mixing_gives_laurent(self):
+        for got in (self.W + self.L, self.L + self.W, self.W - self.L, self.L - self.W):
+            assert type(got) is LaurentWPoly, got
+        assert self.W + self.L == LaurentWPoly({-1: c3, 0: c1 + 1, 2: c2})
+        assert self.W - self.L == LaurentWPoly({-1: -c3, 0: c1 - 1, 2: c2})
+
+    def test_classes_never_equal(self):
+        assert WPoly([c1]) != LaurentWPoly({0: c1})
+        assert LaurentWPoly({0: c1}) != WPoly([c1])
+        assert WPoly([]) != LaurentWPoly({})
+        assert self.W - self.W == WPoly([])
+        assert WPoly([c2]).reciprocal_substitute() == LaurentWPoly({0: c2})
+
+    def test_dense_view_and_variable(self):
+        assert self.W.coeffs == (c1, zero, c2)
+        assert self.W.degree == 2 and WPoly([]).degree == -1
+        assert repr(self.W) == "<WPoly c2*w^2 + c1>"
+        assert repr(self.L) == "<LaurentWPoly 1 + c3*u^-1>"
 
 
 class TestLaurentWPoly:
