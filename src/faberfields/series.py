@@ -260,8 +260,8 @@ class LaurentSeries:
 
     # -- rendering ---------------------------------------------------------------
 
-    def render(self, var: str = "z") -> str:
-        return _join_terms(self._stored(), var, paren_const=False)
+    def render(self) -> str:
+        return _join_terms(self._stored(), "z", paren_const=False)
 
     def __repr__(self):
         tail = "" if self.order is INF else f" + O(z^{self.order + 1})"
@@ -679,8 +679,8 @@ class LaurentWPoly:
     def map_coeffs(self, fn) -> "LaurentWPoly":
         return type(self)._of({e: fn(c) for e, c in self.entries.items()})
 
-    def render(self, var: str | None = None) -> str:
-        return _join_terms(sorted(self.entries.items(), reverse=True), var or self.var)
+    def render(self) -> str:
+        return _join_terms(sorted(self.entries.items(), reverse=True), self.var)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.render()}>"
