@@ -28,13 +28,13 @@ r = z/f = (f/z)^-1 and S = f'^2 (f/z)^-2, so no builder here takes a
 reciprocal or a product power of a series.  Lambda_p(f) + z^(1-p) f' and
 F_n(1/f) are each one ``series.scaled_sum`` of those powers, accumulated
 coefficient by coefficient only through the highest power of z that is read.
-The elimination series E_p are keyed by that power, not by a seed order, so
-every caller builds exactly what it reads.
+Every seed power (``_f_power(e, top)``) and the elimination series E_p are
+keyed by that power, not by a seed order: every caller builds exactly what
+it reads, and the series layer raises OrderError on any overreach, so
+silently truncated tables cannot occur.
 Where two formulas exist for the same object, both are implemented and their
 exact equality is a checked property; the README names the code each side
-of a route check stands on.  Builders compute the seed truncation order they
-need, and the series layer raises OrderError on any overreach, so silently
-truncated tables cannot occur.  All tables are immutable once built; a
+of a route check stands on.  All tables are immutable once built; a
 builder is cached when a caller reads it twice or the benchmark reads its
 cache.
 """
@@ -95,14 +95,14 @@ def _s_series(order: int) -> PowerSeries:
     return fprime * fprime * unit_pow(f.shift(-1), -2)
 
 
-def _f_power(order: int, e: int) -> LaurentSeries:
-    """f^e = z^e (f/z)^e with f taken through z^order, for any integer e.
+def _f_power(e: int, top: int) -> LaurentSeries:
+    """f^e = z^e (f/z)^e for any integer e, exact through z^top.
 
-    The unit power comes from the ``unit_pow`` kernel, so f^e is determined
-    through z^(order - 1 + e); callers pick ``order`` so that this is the
-    highest power of z they read, since each further term is the densest.
+    The unit power is one run of the ``unit_pow`` kernel on f/z from the
+    seed through z^(top + 1 - e), so no term past z^top, each denser than
+    the last, is formed; f^e with e > top is zero through z^top.
     """
-    return unit_pow(_seed(order).shift(-1), e).shift(e)
+    return unit_pow(_seed(max(top + 1 - e, 1)).shift(-1), e).shift(e).truncate(top)
 
 
 # -- family containers ------------------------------------------------------------
@@ -192,7 +192,7 @@ def _marker_family(front: PowerSeries, N: int) -> list[list[CoeffPoly]]:
     z^n in front(z) / (1 - w f(z)), by powers of w.  ``front`` must be known
     through z^N; f^m has valuation m, so no m > n reaches z^n.
     """
-    gs = [front * _f_power(N + 1 - m, m) for m in range(N + 1)]
+    gs = [front * _f_power(m, N) for m in range(N + 1)]
     return [[gs[m].coefficient(n) for m in range(n + 1)] for n in range(N + 1)]
 
 
@@ -315,7 +315,7 @@ def grunsky_compose(N: int, K: int) -> GrunskyTable:
     if N < 1 or K < 1:
         raise ValueError("need N, K >= 1")
     fab = faber_polys(N)
-    pows = [_f_power(K + m + 1, -m) for m in range(N + 1)]  # f^-m
+    pows = [_f_power(-m, K) for m in range(N + 1)]  # f^-m
     entries = {}
     for n in range(1, N + 1):
         expansion = scaled_sum([(pows[m], cm) for m, cm in fab.poly(n).entries.items()], K)
@@ -380,15 +380,14 @@ def _elimination_family(P: int, top: int) -> tuple:
     """E_p = z^(1-p) f'(z) + Lambda_p(f(z)) for p = 0..P, each exact through z^top.
 
     The key is the highest power of z the caller reads, and every E_p has
-    ``.order == top``.  Each power f^e, e = 1-P..1, is one run of the power
-    kernel on f/z at seed order top + 1 - e (at least 1), so it is known
-    exactly through z^top and no further, and no power costs a dense product
-    of two series.  Each E_p is one ``scaled_sum`` over that shared table,
-    with z^(1-p) f'(z) as one more term.
+    ``.order == top``.  Each power f^e, e = 1-P..1, is ``_f_power(e, top)``,
+    known exactly through z^top and no further, and no power costs a dense
+    product of two series.  Each E_p is one ``scaled_sum`` over that shared
+    table, with z^(1-p) f'(z) as one more term.
     """
     fprime = _seed(max(top + P, 1)).derivative()
     lams = lambda_direct(P)
-    pows = {e: _f_power(max(top + 1 - e, 1), e) for e in range(1 - P, 2)}
+    pows = {e: _f_power(e, top) for e in range(1 - P, 2)}
     return tuple(scaled_sum([(pows[e], ce) for e, ce in lams.poly(p).entries.items()]
                             + [(fprime.shift(1 - p), CoeffPoly.one())], top)
                  for p in range(P + 1))
@@ -460,7 +459,7 @@ def a_field_grunsky(P: int, N: int) -> AFieldTable:
 def faber_derivative_pairs(N: int):
     """f(z)/(1 - w f(z)) = sum_n F'_n(w) z^n / n, one pair per w^m of each z^n."""
     fab = faber_polys(N)
-    fpow = [_f_power(N - m, m + 1) for m in range(N)]  # f^{m+1}
+    fpow = [_f_power(m + 1, N) for m in range(N)]  # f^{m+1}
     for n in range(1, N + 1):
         lhs = WPoly([fpow[m].coefficient(n) * n for m in range(n)])
         rhs = fab.poly(n).deriv_w()
@@ -552,10 +551,11 @@ def gen_identity_pairs(pmax: int, kmax: int):
 
     expanded with |u| < |v|.  All negative v powers (and the v^0 term) must
     cancel; the nonnegative part must match the A table on the rectangle.
-    One pair per u^p v^k with -pmax <= k <= kmax.
+    One pair per u^p v^k with -pmax <= k <= kmax; the table is the Grunsky
+    route's, so it shares no builder with the rows.
     """
     rows = _gen_identity_rows(pmax, kmax)
-    table = a_field_direct(pmax, kmax)
+    table = a_field_grunsky(pmax, kmax)
     for p, row in enumerate(rows):
         for j in range(-pmax, kmax + 1):
             want = table.A(p, j) if j >= 1 else CoeffPoly.zero()

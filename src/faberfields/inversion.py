@@ -24,9 +24,9 @@ back to z as g(f(z)) = z, a sum of g_m f^m in which each f^m is a product
 with the seed; ``unique_elimination_pairs`` keeps ``laurent_pow`` as an
 independent route.
 
-Laurent products that mix a z^{1-p} principal part with power series are
-carried with enough internal margin that conclusions at the requested order
-are exact; the series layer errors out otherwise.
+Every power is asked for exact through the highest power of z read, and a
+product with Lambda_p(z), which reaches down to z^(1-p), reads its other
+factor p - 1 powers further; the series layer raises OrderError otherwise.
 """
 
 from __future__ import annotations
@@ -75,17 +75,17 @@ def _reversion(order: int) -> LaurentSeries:
     return ps_reversion(_seed(order))
 
 
-def _reverse_powers(g: LaurentSeries, qmin: int, qmax: int) -> dict:
-    """{q: g^q} for q in [qmin, qmax], where g = f^{-1} is known through z^o.
+def _reverse_powers(qs, top: int) -> dict:
+    """{q: g^q} for each q in ``qs``, where g = f^{-1}, each exact through z^top.
 
-    Every other power is read off the seed by ``series.reversion_powers``,
-    so g^q is known through z^(o - 1 + q); g itself (q = 1) is the
-    reversion, which passed its composition check, and is not built again.
+    Every other power is read off the seed by ``series.reversion_powers``;
+    g itself (q = 1) is the reversion, which passed its composition check,
+    and is not built again.
     """
-    qs = range(qmin, qmax + 1)
-    pows = reversion_powers(_seed(g.order), [q for q in qs if q != 1])
+    others = set(qs) - {1}
+    pows = reversion_powers(_seed(max(top + 1 - min(others, default=1), 1)), others, top)
     if 1 in qs:
-        pows[1] = g
+        pows[1] = _reversion(top)
     return pows
 
 
@@ -95,11 +95,7 @@ def reverse_table(qmin: int, qmax: int, N: int) -> ReverseSeriesTable:
         raise ValueError("need qmin <= qmax")
     if N < 1:
         raise ValueError("need N >= 1")
-    margin = max(0, -qmin) + 1
-    g = _reversion(N + margin)
-    pows = _reverse_powers(g, qmin, qmax)
-    return ReverseSeriesTable(qmin, qmax, N,
-                              {q: s.truncate(N) for q, s in pows.items()})
+    return ReverseSeriesTable(qmin, qmax, N, _reverse_powers(range(qmin, qmax + 1), N))
 
 
 def _thm51_pairs(group: str, indices: tuple, lhs, rhs, N: int):
@@ -109,14 +105,12 @@ def _thm51_pairs(group: str, indices: tuple, lhs, rhs, N: int):
 
 def thm51_positive_pairs(kmax: int, N: int):
     """L_k g = -g^{k+1} and L_k g^{-k} = k, exact through z^N."""
-    g = _reversion(N + kmax + 1)
-    pows = _reverse_powers(g, -kmax, kmax + 1)
+    pows = _reverse_powers(range(-kmax, kmax + 2), N)
     for k in range(1, kmax + 1):
         op = make_L(k)
-        yield from _thm51_pairs("power", (("k", k),), op.apply(g.truncate(N)),
-                                (-pows[k + 1]).truncate(N), N)
+        yield from _thm51_pairs("power", (("k", k),), op.apply(pows[1]), -pows[k + 1], N)
         yield from _thm51_pairs("inverse-power", (("k", k),),
-                                op.apply(pows[-k].truncate(N)), zero_series(N) + k, N)
+                                op.apply(pows[-k]), zero_series(N) + k, N)
 
 
 def check_thm51_positive(kmax: int, N: int) -> CheckReport:
@@ -126,32 +120,30 @@ def check_thm51_positive(kmax: int, N: int) -> CheckReport:
 
 def thm51_zero_negative_pairs(pmax: int, N: int):
     """The L_0, L_{-1}, L_{-p} and L_{-p} g^p identity groups, exact through z^N."""
-    g = _reversion(N + pmax + 1)  # margin for Laurent products with Lambda_p(z)
-    pows = _reverse_powers(g, min(1 - pmax, -1), max(pmax, 1))
-    gprime = g.derivative()
-    lams = lambda_direct(max(pmax, 1))
+    P = max(pmax, 1)
+    pows = _reverse_powers(range(1 - pmax, P + 1), N)
+    # Lambda_p(z) reaches down to z^(1-p), so its products read g^p through z^(N + P).
+    dpows = {p: s.derivative() for p, s in _reverse_powers(range(1, P + 1), N + P).items()}
+    g, gprime = pows[1], dpows[1]
+    lams = lambda_direct(P)
 
-    lhs = make_L(0).apply(g.truncate(N))
-    rhs = ((-g) + z_series() * gprime).truncate(N)
-    yield from _thm51_pairs("L0", (("p", 0),), lhs, rhs, N)
+    lhs = make_L(0).apply(g)
+    yield from _thm51_pairs("L0", (("p", 0),), lhs, (-g) + z_series() * gprime, N)
 
-    afield = a_field_direct(max(pmax, 1), N)
-    lhs = make_L(-1, afield).apply(g.truncate(N))
+    afield = a_field_direct(P, max(N - 1, 1))  # g through z^N holds c_1..c_(N-1)
+    lhs = make_L(-1, afield).apply(g)
     two_c1_z = z_series().scale(_seed(2).coefficient(2) * 2)
-    rhs = ((zero_series(N) - 1) + (two_c1_z + 1) * gprime).truncate(N)
+    rhs = (zero_series(N) - 1) + (two_c1_z + 1) * gprime
     yield from _thm51_pairs("Lminus1", (("p", 1),), lhs, rhs, N)
 
     for p in range(2, pmax + 1):
-        lhs = make_L(-p, afield).apply(g.truncate(N))
-        lam_z = lams.poly(p).at_variable()
-        rhs = (-pows[1 - p] - lam_z * gprime).truncate(N)
+        lhs = make_L(-p, afield).apply(g)
+        rhs = -pows[1 - p] - lams.poly(p).at_variable() * gprime
         yield from _thm51_pairs("negative", (("p", p),), lhs, rhs, N)
 
     for p in range(1, pmax + 1):
-        gp = pows[p]
-        lhs = make_L(-p, afield).apply(gp.truncate(N))
-        lam_z = lams.poly(p).at_variable()
-        rhs = ((zero_series(N) - p) - lam_z * gp.derivative()).truncate(N)
+        lhs = make_L(-p, afield).apply(pows[p])
+        rhs = (zero_series(N) - p) - lams.poly(p).at_variable() * dpows[p]
         yield from _thm51_pairs("power-negative", (("p", p),), lhs, rhs, N)
 
 
@@ -166,16 +158,17 @@ def thm51_pairs(kmax: int, pmax: int, N: int):
     yield from thm51_zero_negative_pairs(pmax, N)
 
 
-def unique_elimination_pairs(ps, N: int):
+def unique_elimination_pairs(ps):
     """g^{1-p} + Lambda_p(z) g' has no power z^m with m <= 1, for p in ps.
 
     This is the uniqueness-style statement that pins the eliminator at the
-    reverse series side; g is taken exact through z^(N + p + 1).
+    reverse series side.  It reads z^1 at most, so g is taken exact through
+    z^(p + 1), as the z^(1-p) principal part of Lambda_p(z) needs.
     """
     for p in ps:
         if p < 2:
             raise ValueError("need p >= 2")
-        g = _reversion(N + p + 1)
+        g = _reversion(p + 1)
         lam_z = lambda_direct(p).poly(p).at_variable()
         e = laurent_pow(g, 1 - p) + lam_z * g.derivative()
         for m in range(min(e.valuation, 1 - p), 2):
@@ -184,5 +177,7 @@ def unique_elimination_pairs(ps, N: int):
 
 
 def unique_elimination_check(p: int, N: int) -> CheckReport:
-    return report_from_pairs("unique-elimination", unique_elimination_pairs((p,), N),
+    """unique_elimination_pairs for the single index p.  N reaches no cell; it
+    stays because the benchmark calls this function with two arguments."""
+    return report_from_pairs("unique-elimination", unique_elimination_pairs((p,)),
                              ("p", "m"))

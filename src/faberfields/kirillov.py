@@ -239,7 +239,7 @@ def inverse_deriv_coeffs(order: int) -> list[CoeffPoly]:
     Distinct from the A-table intermediates B_k^p: these are the expansion
     coefficients of the reciprocal derivative, a run of the power kernel.
     """
-    inv = unit_pow(_seed(order + 2).derivative(), -1)
+    inv = unit_pow(_seed(order + 1).derivative(), -1)
     return [inv.coefficient(n) for n in range(order + 1)]
 
 

@@ -502,45 +502,47 @@ def ps_compose(outer: LaurentSeries, inner: LaurentSeries) -> LaurentSeries:
     return scaled_sum(terms(), target)
 
 
-def reversion_powers(a: LaurentSeries, qs) -> dict:
-    """{q: g^q} for each integer q in ``qs``, where g is the compositional
-    inverse of a = z + ... known through z^o.
+def reversion_powers(a: LaurentSeries, qs, top: int) -> dict:
+    """{q: g^q} for each integer q in ``qs``, each exact through z^top, where
+    g is the compositional inverse of a = z + ....
 
     Lagrange inversion reads every power off the powers of a/w:
 
         [z^m] g^q = (q/m) [w^(m-q)] (a/w)^(-m)      (m != 0),
         [z^0] g^q = [w^(-q)] a'(w) (a/w)^(-1)       (Burmann form, q < 0),
 
-    so g^q is known through z^(o - 1 + q), and g^0 = 1 exactly.  Each
-    (a/w)^(-m) is one run of the :func:`unit_pow` kernel, through the highest
-    w power any q reads, and is dropped once every q has read it.  Nothing
-    here checks the result; :func:`ps_reversion` composes g back to z.
+    so g^q through z^top reads a through z^(top + 1 - q), and a seed too
+    short for the lowest q raises OrderError; g^0 is 1 through z^top.  Each
+    (a/w)^(-m), m <= top, is one run of the :func:`unit_pow` kernel, through
+    the highest w power any q reads.  Nothing here checks the result;
+    :func:`ps_reversion` composes g back to z.
     """
     if a.effective_valuation() != 1 or a.coefficient(1) != CoeffPoly.one() \
             or a.coefficient(0):
         raise SeriesError("reversion requires a series of the form z + higher order")
-    o = a.order
-    if o is INF:
+    if a.order is INF:
         raise SeriesError("reversion of an exact series is an infinite object; "
                           "truncate first")
     h = a.shift(-1)
-    qs = sorted(set(qs))
-    coeffs = {q: [None] * o for q in qs if q}  # z^q .. z^(o-1+q)
-    qmin, qmax = min(coeffs, default=0), max(coeffs, default=0)
-    for m in range(qmin, o + qmax):
-        readers = [q for q in coeffs if q <= m <= o - 1 + q]
-        if m and readers:
-            hm = unit_pow(h.truncate(m - readers[0]), -m)
-            for q in readers:
-                coeffs[q][m - q] = poly_div_int(hm.coefficient(m - q) * q, m)
-    if qmin < 0:
-        burmann = a.derivative() * unit_pow(h.truncate(-qmin), -1)
-        for q in coeffs:
-            if -o < q < 0:
-                coeffs[q][-q] = burmann.coefficient(-q)
-    pows = {q: _make(dict(enumerate(c, q)), o - 1 + q) for q, c in coeffs.items()}
+    qs = set(qs)
+    coeffs = {q: [None] * max(top + 1 - q, 0) for q in qs if q}  # z^q .. z^top
+    qmin = min(coeffs, default=top + 1)
+    if a.order < top + 1 - qmin:
+        raise OrderError(top + 1 - qmin, a.order)
+    for m in range(qmin, top + 1):
+        if m:
+            hm = unit_pow(h.truncate(m - qmin), -m)
+            for q, c in coeffs.items():
+                if q <= m:
+                    c[m - q] = poly_div_int(hm.coefficient(m - q) * q, m)
+        else:  # the Burmann form, read by every q < 0
+            burmann = a.derivative() * unit_pow(h.truncate(-qmin), -1)
+            for q, c in coeffs.items():
+                if q < 0:
+                    c[-q] = burmann.coefficient(-q)
+    pows = {q: _make(dict(enumerate(c, q)), top) for q, c in coeffs.items()}
     if 0 in qs:
-        pows[0] = const_series(1)
+        pows[0] = const_series(1).truncate(top)
     return pows
 
 
@@ -554,7 +556,7 @@ def ps_reversion(a: LaurentSeries) -> LaurentSeries:
     power a^k in :func:`ps_compose` is a product with a, which for the seed
     has single-monomial coefficients.
     """
-    g = reversion_powers(a, (1,))[1]
+    g = reversion_powers(a, (1,), a.order)[1]
     if not (ps_compose(g, a) - z_series()).is_zero():
         raise SeriesError("reversion failed its composition self-check")
     return g

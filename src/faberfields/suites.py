@@ -62,7 +62,7 @@ _SUITES: dict[str, Suite] = {
                    lambda o: {"kmax": min(5, o), "pmax": min(5, o), "N": o + 2},
                    ("kmax", "pmax")),
     "unique-elimination": Suite(inversion.unique_elimination_pairs, ("p", "m"),
-                                {"ps": (2, 3), "N": 6}, lambda o: {"N": max(o, 4)}),
+                                {"ps": (2, 3)}, lambda o: {}),
     "negative-action": Suite(kirillov.negative_action_pairs, ("p", "N"), {"pmax": 8},
                              lambda o: {"pmax": o}, ("pmax",)),
 }

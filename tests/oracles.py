@@ -154,7 +154,7 @@ def seed_order_elimination_family(P: int, f_order: int) -> tuple:
     ``scale_add_eval``; E_p is then known through z^(f_order - p)."""
     fprime = seed_series(f_order).derivative()
     lams = lambda_direct(P)
-    pows = {e: _f_power(f_order, e) for e in range(1 - P, 2)}
+    pows = {e: _f_power(e, f_order - 1 + e) for e in range(1 - P, 2)}
     return tuple(fprime.shift(1 - p) + scale_add_eval(lams.poly(p), pows)
                  for p in range(P + 1))
 

@@ -11,9 +11,12 @@ from faberfields.inversion import (
     check_thm51_zero_and_negative,
     reverse_table,
     unique_elimination_check,
+    unique_elimination_pairs,
 )
+from faberfields.faberkernel import lambda_direct
 from faberfields.kirillov import make_L
 from faberfields.polyring import CoeffPoly, c
+from faberfields.reports import IdentityPair
 from faberfields.series import laurent_pow, laurent_recip, ps_reversion, seed_series
 
 c1, c2 = c(1), c(2)
@@ -90,23 +93,26 @@ class TestReverseTable:
 class TestLagrangePowers:
     """Lagrange-Burmann powers of the reverse series against repeated products."""
 
-    @given(st.integers(min_value=1, max_value=10), st.integers(min_value=-6, max_value=6),
+    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=-6, max_value=6),
            st.integers(min_value=0, max_value=6))
     @settings(max_examples=40, deadline=None)
-    def test_against_laurent_pow(self, order, qmin, width):
+    def test_against_laurent_pow(self, top, qmin, width):
+        # Each g^q through z^top against the repeated products of a reversion
+        # whose seed knows every power there.
         qmax = min(qmin + width, 6)
-        g = ps_reversion(seed_series(order))
-        pows = _reverse_powers(g, qmin, qmax)
+        g = ps_reversion(seed_series(max(top + 1 - qmin, 1)))
+        pows = _reverse_powers(range(qmin, qmax + 1), top)
         assert sorted(pows) == list(range(qmin, qmax + 1))
         for q, s in pows.items():
-            assert s == laurent_pow(g, q), q
+            assert s.order == top, q
+            assert s == laurent_pow(g, q).truncate(top), q
 
     def test_burmann_constant_terms(self):
         # [z^0] g^q for q < 0 comes from the Burmann form, not from (q/m).
         g = _reversion(10)
-        pows = _reverse_powers(g, -6, -1)
+        pows = _reverse_powers(range(-6, 0), 3)
         for q in range(-6, 0):
-            assert pows[q].order == 9 + q
+            assert pows[q].order == 3
             assert pows[q].coefficient(0) == laurent_pow(g, q).coefficient(0)
         assert pows[-1].coefficient(0) == c1
 
@@ -146,6 +152,19 @@ class TestUniqueElimination:
     def test_p_two_and_three(self):
         assert unique_elimination_check(2, 6).passed
         assert unique_elimination_check(3, 6).passed
+
+    @pytest.mark.parametrize("N", [4, 6, 9])
+    def test_pairs_match_a_longer_reversion(self, N):
+        # The cells are (p, m) with m <= 1 whatever order g is taken through,
+        # so g through z^(N + p + 1) gives the very same pairs.
+        for p in (2, 3):
+            g = _reversion(N + p + 1)
+            lam = lambda_direct(p).poly(p).at_variable()
+            e = laurent_pow(g, 1 - p) + lam * g.derivative()
+            want = [IdentityPair("unique-elimination", (("p", p), ("m", m)),
+                                 e.coefficient(m), CoeffPoly.zero())
+                    for m in range(min(e.valuation, 1 - p), 2)]
+            assert list(unique_elimination_pairs((p,))) == want
 
     def test_requires_p_at_least_two(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
-"""The benchmark's traced smoke samples still run on this package.
+"""The benchmark's samples still run on this package and build what it froze.
 
 perfbench wraps package functions by name (``spans.install``) and calls
 others from its workloads, so deleting or renaming one of those names breaks
-the benchmark.  This test runs each traced smoke sample the way
-``perfbench/run.py`` does and compares it with the frozen references; it
-reads perfbench and writes nothing there.
+the benchmark.  And a sample whose verdicts or digests differ from the frozen
+references counts as a failed sample there.  These tests run each traced
+smoke sample and each untraced full-size sample the way ``perfbench/run.py``
+does and compare them with the frozen references; they read perfbench and
+write nothing there.
 """
 
 import json
@@ -16,20 +18,30 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKER = os.path.join(ROOT, "perfbench", "worker.py")
-REFS = os.path.join(ROOT, "perfbench", "refs", "smoke.json")
+REFS = os.path.join(ROOT, "perfbench", "refs")
+WORKLOADS = ["gate", "tables", "reverse"]
 
 
-@pytest.mark.parametrize("workload", ["gate", "tables", "reverse"])
-def test_traced_smoke_sample_matches_reference(workload):
+def assert_sample_matches_reference(mode, workload, size):
     env = dict(os.environ, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
-    proc = subprocess.run([sys.executable, WORKER, "trace", workload, "smoke", "7"],
+    proc = subprocess.run([sys.executable, WORKER, mode, workload, size, "7"],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
-    with open(REFS) as fh:
+    with open(os.path.join(REFS, f"{size}.json")) as fh:
         ref = json.load(fh)[workload]
     assert set(out["verdicts"]) == set(ref["verdicts"])
     assert all(out["verdicts"].values()), out["verdicts"]
     assert out["digests"] == ref["digests"]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_smoke_sample_matches_reference(workload):
+    assert_sample_matches_reference("trace", workload, "smoke")
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_full_size_sample_matches_reference(workload):
+    assert_sample_matches_reference("run", workload, "full")

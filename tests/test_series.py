@@ -348,23 +348,34 @@ class TestReversion:
 class TestReversionPowers:
     """The one Lagrange-Burmann loop against the reversion and products."""
 
-    @given(reversible_series)
+    @given(reversible_series, st.integers(min_value=-3, max_value=1))
     @settings(max_examples=30, deadline=None)
-    def test_against_reversion_and_laurent_pow(self, a):
-        pows = reversion_powers(a, range(-4, 5))
+    def test_against_reversion_and_laurent_pow(self, a, qmin):
+        # g^q, q = qmin..qmin+8, through the highest power a allows for qmin.
+        top = a.order + qmin - 1
+        qs = range(qmin, qmin + 9)
+        pows = reversion_powers(a, qs, top)
         g = ps_reversion(a)
-        assert pows[1] == g
-        assert pows[0] == const_series(1)
-        for q in range(-4, 5):
-            if q:
-                assert pows[q].order == a.order - 1 + q, q
-                assert pows[q] == laurent_pow(g, q).truncate(pows[q].order), q
+        assert sorted(pows) == list(qs)
+        for q in qs:
+            assert pows[q].order == top, q
+            assert pows[q] == laurent_pow(g, q).truncate(top), q
+        if 1 in qs:
+            assert pows[1] == g.truncate(top)
+
+    @pytest.mark.parametrize("qs, top", [((-3, 2), 5), ((1,), 4), ((2, 5), 6), ((-1, 0), 0)])
+    def test_seed_one_term_short_raises(self, qs, top):
+        # g^q through z^top reads the seed through z^(top + 1 - q).
+        need = top + 1 - min(q for q in qs if q)
+        assert reversion_powers(seed_series(need), qs, top)[max(qs)].order == top
+        with pytest.raises(OrderError):
+            reversion_powers(seed_series(need - 1), qs, top)
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(SeriesError, match="z \\+ higher order"):
-            reversion_powers(PowerSeries([0, 2], order=3), (-1, 1))
+            reversion_powers(PowerSeries([0, 2], order=3), (-1, 1), 2)
         with pytest.raises(SeriesError, match="infinite object"):
-            reversion_powers(z_series(), (-1, 1))
+            reversion_powers(z_series(), (-1, 1), 2)
 
 
 def _integral(s: LaurentSeries) -> bool:

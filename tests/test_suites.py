@@ -45,8 +45,10 @@ def test_sweep_json_pinned(capsys):
 
 def test_corrupted_elimination_family_fails_the_independent_routes(monkeypatch):
     # One coefficient of the shared family is wrong: z^5 of E_3 gains c1.
-    # routes (a_field_direct against a_field_grunsky) and phi-generating
-    # (E_p - z^(1-p) f' against Lambda_p(f) evaluated on its own) must see it.
+    # routes (a_field_direct against a_field_grunsky), phi-generating
+    # (E_p - z^(1-p) f' against Lambda_p(f) evaluated on its own),
+    # gen-identity (rows E_p(v) / v against a_field_grunsky) and thm51
+    # (L_(-3) from the A table against the reverse series) must see it.
     real = faberkernel._elimination_family
 
     def corrupted(P, top):
@@ -60,7 +62,7 @@ def test_corrupted_elimination_family_fails_the_independent_routes(monkeypatch):
     monkeypatch.setattr(kirillov, "_elimination_family", corrupted)
     faberkernel.a_field_direct.cache_clear()
     try:
-        for name in ("routes", "phi-generating"):
+        for name in ("routes", "phi-generating", "gen-identity", "thm51"):
             report = suites.run_suite(name, order=8)
             assert not report.passed, name
     finally:
