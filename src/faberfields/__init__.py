@@ -7,7 +7,6 @@ from .series import (
     LaurentSeries,
     LaurentWPoly,
     OrderError,
-    PowerSeries,
     WPoly,
     divided_difference,
     laurent_pow,
@@ -29,7 +28,6 @@ from .faberkernel import (
     a_field_grunsky,
     diag_a,
     diag_a_grunsky,
-    elimination_series,
     faber_polys,
     grunsky_compose,
     grunsky_log,

@@ -156,7 +156,7 @@ FAMILIES = {
     "tpoly": ("n", 0, "T", "T_{}", lambda n: faberkernel.t_polys(n).poly),
     "lambda": ("p", 0, "Lambda", "Lambda_{}",
                lambda p: faberkernel.lambda_direct(p).poly),
-    "diag": ("p", 1, "a", "a_{0}^{0}", lambda p: faberkernel.diag_a(p).a),
+    "diag": ("p", 1, "a", "a_{0}^{0}", lambda p: faberkernel.diag_a(p).poly),
 }
 
 

@@ -23,8 +23,8 @@ and a_p^p = B_0^p.  Every table builder, here and in ``kirillov`` and
 ``inversion``, reads the seed coefficients c_k only through ``_seed``.
 
 Every power of the seed, of either sign, comes from one kernel, Miller's
-recurrence on f/z (``series.unit_pow``): each f^e through ``_f_power``, and
-r = z/f = (f/z)^-1 and S = f'^2 (f/z)^-2, so no builder here takes a
+recurrence on f/z (``series.unit_pow``), called only by ``_f_power``: each
+f^e, and r = z/f = z f^-1 and S = f'^2 z^2 f^-2, so no builder here takes a
 reciprocal or a product power of a series.  Lambda_p(f) + z^(1-p) f' and
 F_n(1/f) are each one ``series.scaled_sum`` of those powers, accumulated
 coefficient by coefficient only through the highest power of z that is read.
@@ -51,7 +51,6 @@ from .series import (
     BiSeries,
     LaurentSeries,
     LaurentWPoly,
-    PowerSeries,
     WPoly,
     bi_log_in_u,
     divided_difference,
@@ -77,22 +76,23 @@ class EliminationError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _seed(order: int) -> PowerSeries:
+def _seed(order: int) -> LaurentSeries:
     return seed_series(order)
 
 
 @lru_cache(maxsize=None)
-def _r_series(order: int) -> PowerSeries:
-    """r(z) = z / f(z) = (f/z)^-1 from the power kernel, through z^order."""
-    return unit_pow(_seed(order + 1).shift(-1), -1)
+def _r_series(order: int) -> LaurentSeries:
+    """r(z) = z / f(z) = z f^-1, through z^order; f^-1 is ``_f_power``'s,
+    so the seed is read through z^(order + 1)."""
+    return _f_power(-1, order - 1).shift(1)
 
 
 @lru_cache(maxsize=None)
-def _s_series(order: int) -> PowerSeries:
-    """S(z) = z^2 f'(z)^2 / f(z)^2 = f'(z) f'(z) (f/z)^-2, through z^order."""
-    f = _seed(order + 1)
-    fprime = f.derivative()
-    return fprime * fprime * unit_pow(f.shift(-1), -2)
+def _s_series(order: int) -> LaurentSeries:
+    """S(z) = z^2 f'(z)^2 / f(z)^2 = f'(z) f'(z) z^2 f^-2, through z^order;
+    f^-2 is ``_f_power``'s, so the seed is read through z^(order + 1)."""
+    fprime = _seed(order + 1).derivative()
+    return fprime * fprime * _f_power(-2, order - 2).shift(2)
 
 
 def _f_power(e: int, top: int) -> LaurentSeries:
@@ -143,7 +143,6 @@ class LambdaFamily(_IndexFamily):
 class DiagonalCoeffs(_IndexFamily):
     """a_1^1 .. a_P^P, CoeffPoly entries."""
     name = "a_{0}^{0}"
-    a = _IndexFamily.poly
 
 
 @dataclass(frozen=True)
@@ -187,7 +186,7 @@ class AFieldTable:
 # -- Faber and T families -----------------------------------------------------------
 
 
-def _marker_family(front: PowerSeries, N: int) -> list[list[CoeffPoly]]:
+def _marker_family(front: LaurentSeries, N: int) -> list[list[CoeffPoly]]:
     """Rows n = 0..N of [z^n] front(z) f(z)^m, m = 0..n: the coefficients of
     z^n in front(z) / (1 - w f(z)), by powers of w.  ``front`` must be known
     through z^N; f^m has valuation m, so no m > n reaches z^n.
@@ -358,7 +357,7 @@ def lambda_from_t(P: int) -> LambdaFamily:
         diag = diag_a(P)
         for p in range(1, P + 1):
             lam = -tfam.poly(p - 1).reciprocal_substitute()
-            lam = lam + LaurentWPoly({1: -diag.a(p)})
+            lam = lam + LaurentWPoly({1: -diag.poly(p)})
             entries.append(lam)
     return LambdaFamily(P, tuple(entries), provenance="t-combination")
 
@@ -393,14 +392,6 @@ def _elimination_family(P: int, top: int) -> tuple:
                  for p in range(P + 1))
 
 
-def elimination_series(p: int, f_order: int) -> LaurentSeries:
-    """z^(1-p) f'(z) + Lambda_p(f(z)) with f through z^f_order, so determined
-    through z^(f_order - p); it is all zero when f_order <= p."""
-    if f_order < 1:
-        raise ValueError("seed order must be >= 1")
-    return _elimination_family(p, f_order - p)[p]
-
-
 @lru_cache(maxsize=None)
 def a_field_direct(P: int, N: int) -> AFieldTable:
     """A_n^p read off z^(1-p) f'(z) + Lambda_p(f(z)) = sum_{n>=1} A_n^p z^{n+1}.
@@ -424,7 +415,7 @@ def a_field_direct(P: int, N: int) -> AFieldTable:
     diag = diag_a(P) if P >= 1 else None
     f = _seed(N + 1)
     # B_k^p = A_k^p + a_p^p c_k, with c_0 = 1, so B_0^p = a_p^p.
-    b_entries = {(p, k): a_entries[(p, k)] + diag.a(p) * f.coefficient(k + 1)
+    b_entries = {(p, k): a_entries[(p, k)] + diag.poly(p) * f.coefficient(k + 1)
                  for p in range(1, P + 1) for k in range(N + 1)}
     return AFieldTable(P, N, a_entries, b_entries, provenance="elimination")
 
@@ -500,7 +491,7 @@ def route_equivalence_pairs(n: int, afield: int):
     d1 = diag_a(n)
     d2 = diag_a_grunsky(n)
     for p in range(1, n + 1):
-        yield IdentityPair("routes-diag", (("p", p),), d1.a(p), d2.a(p))
+        yield IdentityPair("routes-diag", (("p", p),), d1.poly(p), d2.poly(p))
     l1 = lambda_direct(n)
     l2 = lambda_from_t(n)
     for p in range(n + 1):

@@ -243,17 +243,17 @@ def inverse_deriv_coeffs(order: int) -> list[CoeffPoly]:
     return [inv.coefficient(n) for n in range(order + 1)]
 
 
-def lemma41_pairs(kmax: int, mmax: int, kmin: int = 1):
-    """Resolve the partial d/dc_k through the ladder, for kmin <= k <= kmax:
+def lemma41_pairs(kmax: int, mmax: int):
+    """Resolve the partial d/dc_k through the ladder, for 1 <= k <= kmax:
 
         d/dc_k = L_k - 2 c1 L_{k+1} + (4 c1^2 - 3 c2) L_{k+2} + ... + B_n L_{k+n} + ...
 
     applied to every generator c_m, m <= mmax; application to c_m terminates
     at n = m - k, so only finitely many terms contribute.
     """
-    bs = inverse_deriv_coeffs(max(mmax - kmin, 0))
-    ops = {j: make_L(j) for j in range(kmin, mmax + 1)}
-    for k in range(kmin, kmax + 1):
+    bs = inverse_deriv_coeffs(max(mmax - 1, 0))
+    ops = {j: make_L(j) for j in range(1, mmax + 1)}
+    for k in range(1, kmax + 1):
         for m in range(1, mmax + 1):
             cm = CoeffPoly.var(m)
             acc = CoeffPoly.zero()
@@ -288,15 +288,13 @@ def sample_polynomials() -> list[CoeffPoly]:
     ]
 
 
-def commutation_pairs(nmax: int, jmax: int, samples=None, nmin: int = 1,
-                      jmin: int = 1):
-    """The mixing rule d_n L_j = L_j d_n + (n+1) d_{n+j} on sample polynomials,
-    for nmin <= n <= nmax and jmin <= j <= jmax."""
-    if samples is None:
-        samples = sample_polynomials()
-    for n in range(nmin, nmax + 1):
+def commutation_pairs(nmax: int, jmax: int):
+    """The mixing rule d_n L_j = L_j d_n + (n+1) d_{n+j} on the sample
+    polynomials, for 1 <= n <= nmax and 1 <= j <= jmax."""
+    samples = sample_polynomials()
+    for n in range(1, nmax + 1):
         dn = partial_derivation(n)
-        for j in range(jmin, jmax + 1):
+        for j in range(1, jmax + 1):
             lj = make_L(j)
             dnj = partial_derivation(n + j)
             for idx, target in enumerate(samples):

@@ -124,11 +124,6 @@ def mono_weight(m: Monomial) -> int:
     return sum(j * e for j, e in m)
 
 
-def mono_degree(m: Monomial) -> int:
-    """Total degree: sum of exponents."""
-    return sum(e for _, e in m)
-
-
 def mono_key(m: Monomial):
     """Canonical sort key: graded by weight, then ascending dense exponent vector."""
     w = mono_weight(m)

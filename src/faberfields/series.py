@@ -1,13 +1,13 @@
 """Truncated formal series over the coefficient ring, with order tracking.
 
 The series layer supplies everything the generating-function constructions
-need: univariate power and Laurent series in one formal variable ``z``,
-finite Laurent polynomials in a marker variable ``u`` (``LaurentWPoly``) and
-their subclass of polynomials in ``w`` (``WPoly``), and rectangularly
-truncated bivariate series.  A sum sum c s of series s with coefficients c
-over a table of seed powers, and the sum of a composition, is one
-:func:`scaled_sum`; ``LaurentWPoly.eval_at`` walks the powers of its argument
-instead and calls no :func:`scaled_sum`, so it can check those sums.
+need: truncated Laurent series in one formal variable ``z``, finite Laurent
+polynomials in a marker variable ``u`` (``LaurentWPoly``) and their subclass
+of polynomials in ``w`` (``WPoly``), and rectangularly truncated bivariate
+series.  A sum sum c s of series s with coefficients c over a table of seed
+powers, and the sum of a composition, is one :func:`scaled_sum`;
+``LaurentWPoly.eval_at`` walks the powers of its argument instead and calls
+no :func:`scaled_sum`, so it can check those sums.
 
 Truncation discipline
 ---------------------
@@ -109,9 +109,7 @@ class LaurentSeries:
 
     Coefficients below ``valuation`` are exactly zero; coefficients above
     ``order`` are unknown.  ``order`` may be ``math.inf`` for exact objects.
-    The constructor keeps the class it is called on, whatever the valuation;
-    the results of operations are :class:`PowerSeries` when their valuation
-    is >= 0 and :class:`LaurentSeries` otherwise.  Equality ignores the class.
+    A power series is one with valuation >= 0.
     """
 
     __slots__ = ("valuation", "order", "coeffs")
@@ -238,15 +236,13 @@ class LaurentSeries:
         data = {k - 1: c * k for k, c in self._stored() if k != 0}
         return _make(data, self.order - 1)
 
-    def integrate(self, const=0) -> "LaurentSeries":
+    def integrate(self) -> "LaurentSeries":
+        """The primitive with constant term 0."""
         data: dict[int, CoeffPoly] = {}
         for k, c in self._stored():
             if k == -1:
                 raise SeriesError("cannot integrate a z^-1 term inside the series ring")
             data[k + 1] = c * Fraction(1, k + 1)
-        const = _coeff(const)
-        if const:
-            data[0] = data.get(0, CoeffPoly.zero()) + const
         return _make(data, self.order + 1)
 
     def __eq__(self, other):
@@ -284,15 +280,6 @@ class LaurentSeries:
         )
 
 
-class PowerSeries(LaurentSeries):
-    """Series with no principal part; coefficients of z^0..z^order."""
-
-    __slots__ = ()
-
-    def __init__(self, coeffs: Sequence, order=None):
-        super().__init__(0, coeffs, order)
-
-
 def _canonical(data: dict[int, CoeffPoly], order):
     """Drop zeros and out-of-order entries, trim, and normalize the valuation."""
     keep = {k: c for k, c in data.items() if c and k <= order}
@@ -306,8 +293,7 @@ def _canonical(data: dict[int, CoeffPoly], order):
 
 def _make(data: dict[int, CoeffPoly], order) -> LaurentSeries:
     v, o, tup = _canonical(data, order)
-    cls = PowerSeries if v >= 0 else LaurentSeries
-    obj = object.__new__(cls)
+    obj = object.__new__(LaurentSeries)
     obj.valuation = v
     obj.order = o
     obj.coeffs = tup
@@ -317,22 +303,22 @@ def _make(data: dict[int, CoeffPoly], order) -> LaurentSeries:
 # -- constructors --------------------------------------------------------------
 
 
-def const_series(value) -> PowerSeries:
+def const_series(value) -> LaurentSeries:
     """The exact constant series."""
     return _make({0: _coeff(value)}, INF)
 
 
-def z_series() -> PowerSeries:
+def z_series() -> LaurentSeries:
     """The exact identity series z."""
     return _make({1: CoeffPoly.one()}, INF)
 
 
-def zero_series(order=INF) -> PowerSeries:
+def zero_series(order=INF) -> LaurentSeries:
     """The zero series, known through the given order."""
     return _make({}, order)
 
 
-def seed_series(N: int) -> PowerSeries:
+def seed_series(N: int) -> LaurentSeries:
     """The generic univalent seed f(z) = z + c1 z^2 + c2 z^3 + ... through z^N."""
     if N < 1:
         raise ValueError("seed order must be >= 1")
@@ -396,7 +382,7 @@ def laurent_pow(a: LaurentSeries, k: int) -> LaurentSeries:
     return result
 
 
-def unit_pow(h: LaurentSeries, alpha: int) -> PowerSeries:
+def unit_pow(h: LaurentSeries, alpha: int) -> LaurentSeries:
     """h**alpha for h = 1 + h_1 z + h_2 z^2 + ... and any integer alpha.
 
     Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), with b_0 = 1:
@@ -445,7 +431,7 @@ def ps_log(a: LaurentSeries) -> LaurentSeries:
     if a.order is INF:
         raise SeriesError("logarithm of an exact series is an infinite object; "
                           "truncate first")
-    return (a.derivative() / a).integrate(0)
+    return (a.derivative() / a).integrate()
 
 
 def scaled_sum(terms, top) -> LaurentSeries:
@@ -560,19 +546,6 @@ def ps_reversion(a: LaurentSeries) -> LaurentSeries:
     if not (ps_compose(g, a) - z_series()).is_zero():
         raise SeriesError("reversion failed its composition self-check")
     return g
-
-
-def series_agree(a: LaurentSeries, b: LaurentSeries, through, start=None) -> int | None:
-    """First exponent in [start, through] where a and b differ, else None.
-
-    Raises OrderError if either side is undetermined somewhere in the range.
-    """
-    if start is None:
-        start = min(a.valuation, b.valuation)
-    for k in range(start, through + 1):
-        if a.coefficient(k) != b.coefficient(k):
-            return k
-    return None
 
 
 # -- marker-variable polynomials -------------------------------------------------

@@ -20,6 +20,19 @@ from faberfields.series import (
 )
 
 
+def series_agree(a: LaurentSeries, b: LaurentSeries, through, start=None) -> int | None:
+    """First exponent in [start, through] where a and b differ, else None.
+
+    Raises OrderError if either side is undetermined somewhere in the range.
+    """
+    if start is None:
+        start = min(a.valuation, b.valuation)
+    for k in range(start, through + 1):
+        if a.coefficient(k) != b.coefficient(k):
+            return k
+    return None
+
+
 def horner(coeffs, x: LaurentSeries) -> LaurentSeries:
     """sum_k coeffs[k] x^k by Horner's rule, acc <- acc * x + coeffs[k], so
     every step is a full product of two series."""
@@ -146,6 +159,12 @@ def scale_add_eval(poly, pows: dict) -> LaurentSeries:
     for e, coeff in poly.entries.items():
         out = out + pows[e].scale(coeff)
     return out
+
+
+def product_f_power(e: int, top: int) -> LaurentSeries:
+    """f^e through z^top by repeated products, through the reciprocal series
+    for e < 0, from the shortest seed that knows it there."""
+    return laurent_pow(seed_series(max(top + 1 - e, 1)), e).truncate(top)
 
 
 def seed_order_elimination_family(P: int, f_order: int) -> tuple:

@@ -29,8 +29,9 @@ from faberfields.series import (
     laurent_pow,
     laurent_recip,
     seed_series,
-    series_agree,
 )
+
+from .oracles import series_agree
 
 c1, c2, c3 = c(1), c(2), c(3)
 one = CoeffPoly.one()
@@ -118,7 +119,7 @@ def test_criterion_01_printed_objects(capsys):
     if series_agree(lhs, rhs, through=8) is not None:
         problems.append("L_-3 f display")
 
-    if fk.diag_a(1).a(1) != c1 * 2:
+    if fk.diag_a(1).poly(1) != c1 * 2:
         problems.append("a_1^1")
 
     table = fk.a_field_direct(1, 10)

@@ -17,7 +17,6 @@ from faberfields.faberkernel import (
     diag_a,
     diag_a_grunsky,
     elimination_pairs,
-    elimination_series,
     faber_derivative_pairs,
     faber_polys,
     gen_identity_pairs,
@@ -43,17 +42,18 @@ from faberfields.series import (
     laurent_recip,
     scaled_sum,
     seed_series,
-    series_agree,
 )
 from faberfields.suites import run_suite, suite_report
 
 from .oracles import (
     dense_grunsky_log,
     horner_grunsky_compose,
+    product_f_power,
     recip_inverse_deriv_coeffs,
     recip_r_series,
     scale_add_eval,
     seed_order_elimination_family,
+    series_agree,
     squared_s_series,
 )
 
@@ -94,8 +94,7 @@ def refuse_everywhere(monkeypatch, targets, message):
     patch_everywhere(monkeypatch, targets, refuse)
 
 
-@pytest.fixture
-def cold_caches(monkeypatch):
+def empty_caches(monkeypatch):
     """Bind an empty copy of every cached builder for the test, so the
     builders it reaches, cached or not, run their own code under its patches;
     the warm caches come back untouched afterwards, holding nothing built
@@ -105,6 +104,11 @@ def cold_caches(monkeypatch):
             if hasattr(fn, "cache_info") and fn.__module__ == mod.__name__:
                 patch_everywhere(monkeypatch, ((mod, name),),
                                  lru_cache(maxsize=None)(fn.__wrapped__))
+
+
+@pytest.fixture
+def cold_caches(monkeypatch):
+    empty_caches(monkeypatch)
 
 
 def specialized_entries(obj, values):
@@ -166,20 +170,20 @@ class TestTFamily:
 
 class TestDiagonal:
     def test_first_entry(self):
-        assert diag_a(1).a(1) == c1 * 2
+        assert diag_a(1).poly(1) == c1 * 2
 
     def test_second_entry(self):
         # a_2^2 = 4 c2 - c1^2, from squaring z f'/f by hand.
-        assert diag_a(2).a(2) == c2 * 4 - c1 * c1
+        assert diag_a(2).poly(2) == c2 * 4 - c1 * c1
 
     def test_zero_seed(self):
         d = diag_a(4)
-        assert all(d.a(p).specialize(ZERO_VALUES) == 0 for p in range(1, 5))
+        assert all(d.poly(p).specialize(ZERO_VALUES) == 0 for p in range(1, 5))
 
     def test_weight_homogeneous(self):
         d = diag_a(7)
         for p in range(1, 8):
-            assert d.a(p).is_homogeneous(p)
+            assert d.poly(p).is_homogeneous(p)
 
     def test_routes_agree(self):
         assert diag_a(7).entries == diag_a_grunsky(7).entries
@@ -387,7 +391,7 @@ class TestElimination:
 
     def test_series_helper_matches_table(self):
         table = a_field_direct(3, 4)
-        e = elimination_series(2, 8)
+        e = _elimination_family(2, 6)[2]
         for n in range(1, 5):
             assert e.coefficient(n + 1) == table.A(2, n)
 
@@ -437,11 +441,14 @@ class TestOneKernel:
     UNCACHED = {"t_from_faber", "diag_a_grunsky", "lambda_from_t", "a_field_grunsky"}
 
     def build_all(self, skip=()):
-        """Run each builder's own code, past its cache if it has one."""
+        """Run each builder's own code, past its cache if it has one, and
+        return what each built, by name."""
+        built = {}
         for name, args in self.BUILDER_ARGS.items():
             if name not in skip:
                 fn = getattr(faberkernel, name)
-                getattr(fn, "__wrapped__", fn)(*args)
+                built[name] = getattr(fn, "__wrapped__", fn)(*args)
+        return built
 
     def test_builders_avoid_product_routes(self, monkeypatch):
         cached = {name for name, obj in vars(faberkernel).items()
@@ -505,6 +512,17 @@ class TestOneKernel:
             return
         assert not report.passed
 
+    def test_seed_powers_come_only_through_f_power(self, monkeypatch):
+        # With the power kernel refused and _f_power taken by repeated
+        # products instead, every builder, its cached inputs rebuilt too,
+        # builds what it built before: no builder takes a power past _f_power.
+        want = self.build_all()
+        empty_caches(monkeypatch)
+        refuse_everywhere(monkeypatch, ((faberkernel, "unit_pow"),),
+                          "a builder reached unit_pow past _f_power")
+        patch_everywhere(monkeypatch, ((faberkernel, "_f_power"),), product_f_power)
+        assert self.build_all() == want
+
     @pytest.mark.parametrize("order", range(13))
     def test_against_reciprocal_and_square(self, order):
         assert faberkernel._r_series(order) == recip_r_series(order)
@@ -551,29 +569,17 @@ class TestEvalOnPowers:
 
 
 class TestEliminationSeries:
-    @staticmethod
-    def _outcome(build):
-        try:
-            return build()
-        except Exception as exc:  # the error type is the outcome compared
-            return type(exc)
-
     def test_matches_seed_order_family(self):
-        # Every cell p = 0..5, f_order = -1..8 gives what the family keyed by
-        # seed order gives, or the same error; cells with f_order <= p are the
-        # all-zero series known through z^(f_order - p).
+        # E_p read through z^(f_order - p), for p = 0..5 and f_order = 1..8,
+        # is what the family keyed by seed order f_order gives; cells with
+        # f_order <= p are the all-zero series known through z^(f_order - p).
         for p in range(6):
-            for f_order in range(-1, 9):
-                got = self._outcome(lambda: elimination_series(p, f_order))
-                want = self._outcome(
-                    lambda: seed_order_elimination_family(p, f_order)[p])
-                assert got == want, (p, f_order)
-                if f_order < 1:
-                    assert got is ValueError, (p, f_order)
-                else:
-                    assert got.order == f_order - p, (p, f_order)
-                    if f_order <= p:
-                        assert got.is_zero(), (p, f_order)
+            for f_order in range(1, 9):
+                got = _elimination_family(p, f_order - p)[p]
+                assert got == seed_order_elimination_family(p, f_order)[p], (p, f_order)
+                assert got.order == f_order - p, (p, f_order)
+                if f_order <= p:
+                    assert got.is_zero(), (p, f_order)
 
     def test_elimination_cells_start_at_one_minus_p(self):
         # E_0 read through z^1 is all zero; it adds only the cell m = 1.
@@ -610,7 +616,7 @@ class TestRouteReport:
 
     def test_insufficient_index_raises(self):
         with pytest.raises(IndexError):
-            diag_a(2).a(3)
+            diag_a(2).poly(3)
         with pytest.raises(IndexError):
             grunsky_log(2, 2).beta(3, 1)
         with pytest.raises(IndexError):

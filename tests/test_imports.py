@@ -1,10 +1,12 @@
 """Every name a package module imports is used in that module, and every
-module-level private name is read somewhere in the package.
+module-level name is read somewhere in the package, or, if public, exported
+by ``__init__`` or named by the benchmark under ``perfbench/``.
 
 A stale import keeps a dead name reachable (for instance as a patch target
 that no code calls any more), so it is refused here; ``__init__`` re-exports
-by design and is not checked for imports.  A private helper, class or
-constant that no package code reads is dead code a refactor left behind.
+by design and is not checked for imports.  A helper, class or constant that
+nothing reads is dead code a refactor left behind; one that only tests read
+belongs with the tests.
 """
 
 import ast
@@ -15,6 +17,7 @@ import pytest
 import faberfields
 
 PACKAGE = sorted(Path(faberfields.__file__).parent.glob("*.py"))
+PERFBENCH = sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
@@ -62,23 +65,54 @@ def _read_names(node) -> set[str]:
             or isinstance(n, ast.Attribute)}
 
 
-def unreferenced_privates(sources: dict[str, str]) -> list[str]:
-    """Module-level private functions, classes and constants of the sources
-    (file name -> text) that no other top-level statement of any of them
-    reads, as a name or as an attribute; a helper that only calls itself
-    counts as unreferenced."""
+def _unreferenced(sources: dict[str, str], wanted, allowed=frozenset()) -> list[str]:
+    """Module-level functions, classes and constants of the sources (file
+    name -> text) whose name passes ``wanted``, is not in ``allowed``, and is
+    read by no other top-level statement of any of them, as a name or as an
+    attribute; a helper that only calls itself counts as unreferenced."""
     statements = [(filename, node) for filename, source in sources.items()
                   for node in ast.parse(source).body]
     reads = [_read_names(node) for _, node in statements]
     return [f"{filename} line {node.lineno}: {name}"
             for i, (filename, node) in enumerate(statements)
             for name in _defined_names(node)
-            if name.startswith("_") and not name.startswith("__")
+            if wanted(name) and name not in allowed
             and not any(name in r for j, r in enumerate(reads) if j != i)]
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """The unreferenced module-level private names of the sources."""
+    return _unreferenced(sources, lambda name: name.startswith("_")
+                         and not name.startswith("__"))
+
+
+def unreferenced_publics(sources: dict[str, str], named=frozenset()) -> list[str]:
+    """The unreferenced module-level public names of the sources, leaving out
+    those that ``__init__.py`` imports and those in ``named``."""
+    exported = {alias.asname or alias.name
+                for node in ast.parse(sources.get("__init__.py", "")).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return _unreferenced(sources, lambda name: not name.startswith("_"),
+                         exported | set(named))
+
+
+def named_in(source: str) -> set[str]:
+    """The names a source reads, as names or attributes, or spells as a
+    whole string, as in ``getattr(module, "name")``."""
+    tree = ast.parse(source)
+    return _read_names(tree) | {node.value for node in ast.walk(tree)
+                                if isinstance(node, ast.Constant)
+                                and isinstance(node.value, str)
+                                and node.value.isidentifier()}
 
 
 def test_no_unreferenced_private_name():
     assert unreferenced_privates({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def test_no_unreferenced_public_name():
+    named = set().union(*(named_in(p.read_text()) for p in PERFBENCH))
+    assert unreferenced_publics({p.name: p.read_text() for p in PACKAGE}, named) == []
 
 
 def test_detects_an_unreferenced_private_name():
@@ -92,3 +126,19 @@ def test_detects_an_unreferenced_private_name():
     }
     assert unreferenced_privates(sources) == [
         "a.py line 2: _DEAD", "a.py line 5: _dead", "a.py line 7: _Unused"]
+
+
+def test_detects_an_unreferenced_public_name():
+    sources = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": ("LIMIT = 3\nDEAD: int = 4\n"
+                 "def exported():\n    return helper(LIMIT)\n"
+                 "def helper(x):\n    return x\n"
+                 "def recursive():\n    return recursive()\n"
+                 "def benched():\n    pass\n"
+                 "class Unused:\n    pass\n"),
+    }
+    named = named_in('import a\nprint(getattr(a, "benched"), "not a name")\n')
+    assert "benched" in named
+    assert unreferenced_publics(sources, named) == [
+        "a.py line 2: DEAD", "a.py line 7: recursive", "a.py line 11: Unused"]

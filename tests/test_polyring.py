@@ -13,7 +13,6 @@ from faberfields.polyring import (
     accumulate_product,
     c,
     mono,
-    mono_degree,
     mono_weight,
     poly_div_int,
     poly_from_bucket,
@@ -25,10 +24,9 @@ c1, c2, c3 = c(1), c(2), c(3)
 
 
 class TestMonomials:
-    def test_weight_and_degree(self):
+    def test_weight(self):
         m = mono((1, 2), (3, 1))  # c1^2 c3
         assert mono_weight(m) == 2 * 1 + 3 * 1
-        assert mono_degree(m) == 3
 
     def test_zero_exponents_dropped(self):
         assert mono((2, 0)) == ()

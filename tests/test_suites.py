@@ -9,7 +9,7 @@ from faberfields import faberkernel, kirillov, suites
 from faberfields.cli import main
 from faberfields.polyring import CoeffPoly, c
 from faberfields.reports import IdentityPair, report_from_pairs
-from faberfields.series import INF, PowerSeries
+from faberfields.series import INF, LaurentSeries
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -55,7 +55,7 @@ def test_corrupted_elimination_family_fails_the_independent_routes(monkeypatch):
         family = real(P, top)
         if P < 3 or top < 5:
             return family
-        bump = PowerSeries([0] * 5 + [c(1)], order=INF)
+        bump = LaurentSeries(0, [0] * 5 + [c(1)], order=INF)
         return family[:3] + (family[3] + bump,) + family[4:]
 
     monkeypatch.setattr(faberkernel, "_elimination_family", corrupted)

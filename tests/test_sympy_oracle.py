@@ -61,7 +61,7 @@ def test_diagonal(seed):
     gen = sp.series(z ** 2 * fp ** 2 / f ** 2, z, 0, N + 1).removeO()
     diag = ff.diag_a(N)
     for p in range(1, N + 1):
-        assert sp.expand(gen.coeff(z, p) - to_sympy(diag.a(p))) == 0
+        assert sp.expand(gen.coeff(z, p) - to_sympy(diag.poly(p))) == 0
 
 
 def test_lambda_family(seed):
