@@ -53,6 +53,7 @@ from .inversion import (
     ReverseSeriesTable,
     check_thm51_positive,
     check_thm51_zero_and_negative,
+    clear_caches,
     reverse_table,
     unique_elimination_check,
 )

@@ -34,9 +34,18 @@ it reads, and the series layer raises OrderError on any overreach, so
 silently truncated tables cannot occur.
 Where two formulas exist for the same object, both are implemented and their
 exact equality is a checked property; the README names the code each side
-of a route check stands on.  All tables are immutable once built; a
-builder is cached when a caller reads it twice or the benchmark reads its
-cache.
+of a route check stands on.
+
+A coefficient of z^n, or of u^n v^k, is fixed once computed, so a table at
+size n is a prefix of the table at size n + 1.  The powers (f/z)^m,
+m >= 0, the fronts z f'/f, z f'^2/f and S, the marker rows and the Grunsky
+rows of -D_u/D are therefore grow-only streams (``_STREAMS``): the kernels
+behind them (``unit_pow``, ``bi_quotient``) are resumable, a request past a
+stream's end computes only the new entries, and every table handed out
+holds the stream's own coefficient objects, so none is stored twice.  All
+tables are immutable once built.  The ``lru_cache`` fronts of the builders
+hold references only; they are kept because a caller reads the builder
+twice or the benchmark reads its cache.
 """
 
 from __future__ import annotations
@@ -45,14 +54,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar
 
-from .polyring import CoeffPoly
+from .polyring import CoeffPoly, accumulate_product, poly_from_bucket
 from .reports import CheckReport, IdentityPair, report_from_pairs, series_pairs
 from .series import (
     BiSeries,
     LaurentSeries,
     LaurentWPoly,
     WPoly,
-    bi_log_in_u,
+    bi_quotient,
     divided_difference,
     scaled_sum,
     seed_series,
@@ -74,6 +83,12 @@ class EliminationError(ValueError):
 
 # -- shared seed-derived series ------------------------------------------------
 
+#: The grow-only streams behind the builders, by name: coefficient lists
+#: (or lists of rows) whose entry n, once computed, is fixed.  A request
+#: past a stream's end computes only the new entries, and every table
+#: handed out holds the stream's own coefficient objects.
+_STREAMS: dict = {}
+
 
 @lru_cache(maxsize=None)
 def _seed(order: int) -> LaurentSeries:
@@ -92,7 +107,7 @@ def _s_series(order: int) -> LaurentSeries:
     """S(z) = z^2 f'(z)^2 / f(z)^2 = f'(z) f'(z) z^2 f^-2, through z^order;
     f^-2 is ``_f_power``'s, so the seed is read through z^(order + 1)."""
     fprime = _seed(order + 1).derivative()
-    return fprime * fprime * _f_power(-2, order - 2).shift(2)
+    return _front("S", fprime * fprime, _f_power(-2, order - 2).shift(2))
 
 
 def _f_power(e: int, top: int) -> LaurentSeries:
@@ -100,9 +115,34 @@ def _f_power(e: int, top: int) -> LaurentSeries:
 
     The unit power is one run of the ``unit_pow`` kernel on f/z from the
     seed through z^(top + 1 - e), so no term past z^top, each denser than
-    the last, is formed; f^e with e > top is zero through z^top.
+    the last, is formed; f^e with e > top is zero through z^top.  For
+    e >= 0, the powers of the marker rows, the run resumes the stream of
+    (f/z)^e.  A negative power is read through z^top far past the marker
+    rows by the elimination family and ``grunsky_compose``, whose cached
+    tables hold what they need, so it is built afresh and not kept.
     """
-    return unit_pow(_seed(max(top + 1 - e, 1)).shift(-1), e).shift(e).truncate(top)
+    stream = _STREAMS.setdefault(f"(f/z)^{e}", []) if e >= 0 else None
+    return unit_pow(_seed(max(top + 1 - e, 1)).shift(-1), e, stream).shift(e).truncate(top)
+
+
+def _product_coefficient(a: LaurentSeries, b: LaurentSeries, n: int) -> CoeffPoly:
+    """[z^n] a(z) b(z) for power series a and b known through z^n, summed in
+    one accumulator."""
+    bucket: dict = {}
+    for i in range(n + 1):
+        ai, bi = a.coefficient(i), b.coefficient(n - i)
+        if ai and bi:
+            accumulate_product(bucket, ai, bi)
+    return poly_from_bucket(bucket)
+
+
+def _front(name: str, a: LaurentSeries, x: LaurentSeries) -> LaurentSeries:
+    """a(z) x(z) through z^(x.order), for power series a and x known that
+    far, read off the stream ``name`` of its coefficients, grown in place."""
+    xs = _STREAMS.setdefault(name, [])
+    for n in range(len(xs), x.order + 1):
+        xs.append(_product_coefficient(a, x, n))
+    return LaurentSeries(0, xs[:x.order + 1], x.order)
 
 
 # -- family containers ------------------------------------------------------------
@@ -186,13 +226,21 @@ class AFieldTable:
 # -- Faber and T families -----------------------------------------------------------
 
 
-def _marker_family(front: LaurentSeries, N: int) -> list[list[CoeffPoly]]:
+def _marker_family(name: str, front: LaurentSeries, N: int) -> list[list[CoeffPoly]]:
     """Rows n = 0..N of [z^n] front(z) f(z)^m, m = 0..n: the coefficients of
     z^n in front(z) / (1 - w f(z)), by powers of w.  ``front`` must be known
     through z^N; f^m has valuation m, so no m > n reaches z^n.
+
+    The rows are the stream ``name``: a row, once computed, is fixed, so a
+    larger N computes only the rows past the stream's end, each coefficient
+    one sum of the products front_i [z^(n-i)] f^m.
     """
-    gs = [front * _f_power(m, N) for m in range(N + 1)]
-    return [[gs[m].coefficient(n) for m in range(n + 1)] for n in range(N + 1)]
+    rows = _STREAMS.setdefault(name, [])
+    if len(rows) <= N:
+        pows = [_f_power(m, N) for m in range(N + 1)]
+        for n in range(len(rows), N + 1):
+            rows.append([_product_coefficient(front, pows[m], n) for m in range(n + 1)])
+    return rows[:N + 1]
 
 
 def _fprime_times(xs: list):
@@ -209,8 +257,8 @@ def faber_polys(N: int) -> FaberFamily:
     """Faber polynomials F_1..F_N of 1/f(1/z), read off the generating series."""
     if N < 1:
         raise ValueError("need N >= 1")
-    front = _seed(N + 1).derivative() * _r_series(N)  # z f'/f
-    return FaberFamily(N, tuple(WPoly(row) for row in _marker_family(front, N)[1:]))
+    front = _front("z f'/f", _seed(N + 1).derivative(), _r_series(N))
+    return FaberFamily(N, tuple(WPoly(row) for row in _marker_family("F", front, N)[1:]))
 
 
 @lru_cache(maxsize=None)
@@ -219,8 +267,8 @@ def t_polys(N: int) -> TFamily:
     if N < 0:
         raise ValueError("need N >= 0")
     fprime = _seed(N + 1).derivative()
-    front = fprime * fprime * _r_series(N)  # z f'^2 / f
-    return TFamily(N, tuple(WPoly(row) for row in _marker_family(front, N)))
+    front = _front("z f'^2/f", fprime * fprime, _r_series(N))
+    return TFamily(N, tuple(WPoly(row) for row in _marker_family("T", front, N)))
 
 
 def t_from_faber(N: int) -> TFamily:
@@ -277,29 +325,40 @@ def grunsky_log(N: int, K: int) -> GrunskyTable:
     With h = f/z the kernel factors exactly as D(u, v) / (h(u) h(v)), where
     D = (f(u) - f(v)) / (u - v).  Since log h(u) is free of v and log h(v)
     free of u, neither reaches a coefficient u^n v^k with n, k >= 1, so
-    beta_{n,k} = -n [u^n v^k] log D.  D is formed from P = f(v) - f(u) by the
-    divided-difference operation, whose diagonal vanishing is checked; its
-    entries D[i][j] = c_{i+j} (c_0 = 1) are single monomials, so the log's
-    triangular solve multiplies dense coefficients only by monomials.
+    beta_{n,k} = -n [u^n v^k] log D.  Row n of log D is W[n-1] / n, with
+    W = D_u / D, so the two scalings cancel: beta_{n,k} = -W[n-1][k], and
+    the table is a view of the rows of -W (``_beta_rows``).
     """
     if N < 1 or K < 1:
         raise ValueError("need N, K >= 1")
-    nv = N + K + 1
-    f = _seed(nv)
-    zero = CoeffPoly.zero()
-    rows = [[zero] * (nv + 1) for _ in range(N + 1)]
-    for j in range(1, nv + 1):
-        rows[0][j] = f.coefficient(j)  # f(v)
-    for i in range(1, N + 1):
-        rows[i][0] = -f.coefficient(i)  # - f(u)
-    P = BiSeries(rows, N, nv)
-    D = divided_difference(P)  # rectangle (N, K)
-    L = bi_log_in_u(D)  # log(D / h(v)); the u^0 and v^0 lines are not read
-    entries = {}
-    for n in range(1, N + 1):
-        for k in range(1, K + 1):
-            entries[(n, k)] = L.coefficient(n, k) * (-n)
+    rows = _beta_rows(N, K)
+    entries = {(n, k): rows[n - 1][k] for n in range(1, N + 1) for k in range(1, K + 1)}
     return GrunskyTable(N, K, entries, provenance="log-kernel")
+
+
+def _beta_rows(N: int, K: int) -> list[list[CoeffPoly]]:
+    """The stream of rows of -W = -D_u / D, with row n-1 holding beta_{n,k}
+    at column k (column 0 too), grown in place to cover n <= N, k <= K.
+
+    D is formed from P = f(v) - f(u) at the requested size by the
+    divided-difference operation, whose diagonal vanishing is checked; its
+    entries D[i][j] = c_{i+j} (c_0 = 1) are single monomials, so the
+    resumable quotient ``series.bi_quotient`` multiplies dense coefficients
+    only by monomials, and computes only the entries the stream lacks.
+    """
+    rows = _STREAMS.setdefault("-D_u/D", [])
+    if len(rows) < N or len(rows[N - 1]) <= K:
+        nv = N + K + 1
+        f = _seed(nv)
+        zero = CoeffPoly.zero()
+        prows = [[zero] * (nv + 1) for _ in range(N + 1)]
+        for j in range(1, nv + 1):
+            prows[0][j] = f.coefficient(j)  # f(v)
+        for i in range(1, N + 1):
+            prows[i][0] = -f.coefficient(i)  # - f(u)
+        D = divided_difference(BiSeries(prows, N, nv))  # rectangle (N, K)
+        bi_quotient(D.derivative_u(-1), D, rows)
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -337,13 +396,13 @@ def lambda_direct(P: int) -> LambdaFamily:
 
         xi^2 f'(xi)^2 / f(xi)^2 * u^2 / (f(xi) - u) = sum_p Lambda_p(u) xi^p,
 
-    expanding 1/(f(xi) - u) = - sum_m f(xi)^m / u^{m+1}: with S the front of
-    the marker family, Lambda_p = - sum_m [xi^p] S f^m u^(1-m), m <= p.
+    expanding 1/(f(xi) - u) = - sum_m f(xi)^m / u^{m+1}: with -S the front
+    of the marker family, Lambda_p = sum_m [xi^p] (-S) f^m u^(1-m), m <= p.
     """
     if P < 0:
         raise ValueError("need P >= 0")
-    rows = _marker_family(_s_series(P), P)
-    return LambdaFamily(P, tuple(LaurentWPoly({1 - m: -cm for m, cm in enumerate(row)})
+    rows = _marker_family("Lambda", -_s_series(P), P)
+    return LambdaFamily(P, tuple(LaurentWPoly({1 - m: cm for m, cm in enumerate(row)})
                                  for row in rows))
 
 

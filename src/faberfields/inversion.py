@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import faberkernel
 from .faberkernel import _seed, a_field_direct, lambda_direct
 from .kirillov import make_L
 from .polyring import CoeffPoly
@@ -70,9 +71,34 @@ class ReverseSeriesTable:
         return self.power(q).coefficient(q + n)
 
 
+#: The highest reversion built so far, under "g": grow-only, as
+#: ``faberkernel._STREAMS`` is.
+_STREAMS: dict = {}
+
+
 @lru_cache(maxsize=None)
 def _reversion(order: int) -> LaurentSeries:
-    return ps_reversion(_seed(order))
+    """g = f^{-1} through z^order.  Only an order above every earlier one
+    runs ``ps_reversion``; a lower one is the truncation of the highest
+    build.  That build passed its composition check g(f(z)) = z through a
+    higher power of z, and [z^k] g(f(z)) reads only g_m with m <= k, so the
+    truncation passes the same check through z^order.
+    """
+    g = _STREAMS.get("g")
+    if g is None or g.order < order:
+        g = _STREAMS["g"] = ps_reversion(_seed(order))
+    return g.truncate(order)
+
+
+def clear_caches() -> None:
+    """Empty every ``lru_cache`` builder and every stream of ``faberkernel``
+    and of this module, so the next request builds from the seed again."""
+    for fn in vars(faberkernel).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    faberkernel._STREAMS.clear()
+    _reversion.cache_clear()
+    _STREAMS.clear()
 
 
 def _reverse_powers(qs, top: int) -> dict:

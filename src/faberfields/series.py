@@ -382,7 +382,7 @@ def laurent_pow(a: LaurentSeries, k: int) -> LaurentSeries:
     return result
 
 
-def unit_pow(h: LaurentSeries, alpha: int) -> LaurentSeries:
+def unit_pow(h: LaurentSeries, alpha: int, b: list | None = None) -> LaurentSeries:
     """h**alpha for h = 1 + h_1 z + h_2 z^2 + ... and any integer alpha.
 
     Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), with b_0 = 1:
@@ -394,6 +394,11 @@ def unit_pow(h: LaurentSeries, alpha: int) -> LaurentSeries:
     only on earlier terms.  The result is known through ``h.order``.  When
     every coefficient of h is integral, so is every b_n, and the division by
     n is asserted to be exact.
+
+    The kernel is resumable: ``b``, when given, is a list of the terms
+    b_0, b_1, ... of an earlier call with the same alpha on a series that
+    agrees with h, and it is extended in place, so only the terms past its
+    end are computed.  The result holds the list's own coefficient objects.
     """
     if not isinstance(alpha, int):
         raise TypeError("series powers must be integers")
@@ -402,19 +407,23 @@ def unit_pow(h: LaurentSeries, alpha: int) -> LaurentSeries:
     if h.order is INF:
         raise SeriesError("power of an exact series is an infinite object; "
                           "truncate first")
-    tail = [(k, c) for k, c in h._stored() if k > 0]
-    integral = all(q.denominator == 1 for _, c in tail for q in c.terms.values())
-    b = [CoeffPoly.one()]
-    for n in range(1, h.order + 1):
-        bucket: dict = {}
-        for k, hk in tail:
-            if k > n:
-                break
-            factor = (alpha + 1) * k - n
-            if factor and b[n - k]:
-                accumulate_product(bucket, b[n - k], hk * factor)
-        b.append(poly_div_int(poly_from_bucket(bucket), n, exact=integral))
-    return _make(dict(enumerate(b)), h.order)
+    if b is None:
+        b = []
+    if len(b) <= h.order:
+        tail = [(k, c) for k, c in h._stored() if k > 0]
+        integral = all(q.denominator == 1 for _, c in tail for q in c.terms.values())
+        if not b:
+            b.append(CoeffPoly.one())
+        for n in range(len(b), h.order + 1):
+            bucket: dict = {}
+            for k, hk in tail:
+                if k > n:
+                    break
+                factor = (alpha + 1) * k - n
+                if factor and b[n - k]:
+                    accumulate_product(bucket, b[n - k], hk * factor)
+            b.append(poly_div_int(poly_from_bucket(bucket), n, exact=integral))
+    return _make(dict(enumerate(b[:h.order + 1])), h.order)
 
 
 def ps_log(a: LaurentSeries) -> LaurentSeries:
@@ -762,6 +771,11 @@ class BiSeries:
             return NotImplemented
         return (self.nu, self.nv, self.rows) == (other.nu, other.nv, other.rows)
 
+    def derivative_u(self, scale=1) -> "BiSeries":
+        """``scale`` times the partial derivative in u, known one u power lower."""
+        rows = [[c * (scale * (i + 1)) for c in self.rows[i + 1]] for i in range(self.nu)]
+        return BiSeries(rows, self.nu - 1, self.nv)
+
     def diagonal_sum(self, d: int) -> CoeffPoly:
         """Coefficient of t^d in the restriction to u = v = t."""
         s = CoeffPoly.zero()
@@ -794,39 +808,52 @@ def divided_difference(P: BiSeries) -> BiSeries:
     return BiSeries(rows, nu, nv)
 
 
+def bi_quotient(T: BiSeries, Q: BiSeries, rows: list | None = None) -> list:
+    """The rows of X = T / Q for bivariate series with Q[0][0] = 1, over the
+    rectangle of T (which Q must cover), by back-substitution:
+
+        X[i][j] = T[i][j] - sum Q[s][b] X[i-s][j-b],  over s <= i, b <= j, (s, b) != (0, 0).
+
+    No reciprocal series is formed, and both sums go into one accumulator
+    per entry.  X[i][j] reads only T[i][j] and the entries of Q and X at or
+    below (i, j), so the solve is resumable: ``rows``, when given, holds the
+    rows of an earlier solve on series that agree with T and Q, and is
+    extended in place, each old row by its new columns and then the new
+    rows, so only the missing entries are computed.  When the entries of Q
+    are single monomials every product multiplies a dense coefficient by one
+    monomial.
+    """
+    if Q.rows[0][0] != CoeffPoly.one():
+        raise SeriesError("bivariate quotient requires a divisor with constant term 1")
+    if rows is None:
+        rows = []
+    for i in range(T.nu + 1):
+        if i == len(rows):
+            rows.append([])
+        out = rows[i]
+        for j in range(len(out), T.nv + 1):
+            bucket: dict = {}
+            for s in range(i + 1):  # the s = i terms are the back-substitution
+                q, x = Q.rows[i - s], rows[s]
+                for b in range(1 if s == i else 0, j + 1):
+                    if q[b] and x[j - b]:
+                        accumulate_product(bucket, q[b], x[j - b])
+            t = T.rows[i][j]
+            out.append(t - poly_from_bucket(bucket) if bucket else t)
+    return rows
+
+
 def bi_log_in_u(Q: BiSeries) -> BiSeries:
     """log(Q / Q(0, v)) for a bivariate series whose u^0 row has constant term 1.
 
     The u^0 row ``head = Q(0, v)`` may be any series in v whose constant term
     is exactly 1; the result is the log of Q with every row divided by
     ``head``, so its u^0 row is 0.  Differentiating in u gives
-    ``W = Q_u / Q``; row i of ``Q W = Q_u`` reads
-    ``head * W[i] = t`` with ``t = (i+1) Q[i+1] - sum_{s<i} W[s] Q[i-s]``,
-    and the division by ``head`` is the back-substitution
-    ``W[i][j] = t[j] - sum_{b>=1} head[b] W[i][j-b]``, so no reciprocal
-    series is formed.  Both sums go into one accumulator per coefficient.
-    Integrating back gives row i of the log as ``W[i-1] / i``.  When the
-    entries of Q are single monomials, as for the seed's divided difference
-    ``(f(u) - f(v)) / (u - v)``, every product multiplies a dense
-    coefficient by one monomial.
+    ``W = Q_u / Q``, one :func:`bi_quotient`, and integrating back gives row
+    i of the log as ``W[i-1] / i``.
     """
-    if Q.rows[0][0] != CoeffPoly.one():
-        raise SeriesError("bivariate log requires the u^0 row to have constant term 1")
-    nv = Q.nv
-    W: list[list[CoeffPoly]] = []
-    for i in range(Q.nu):
-        out: list[CoeffPoly] = []
-        W.append(out)
-        for j in range(nv + 1):
-            bucket: dict = {}
-            for s in range(i + 1):  # the s = i terms are the back-substitution
-                row, w = Q.rows[i - s], W[s]
-                for b in range(1 if s == i else 0, j + 1):
-                    if row[b] and w[j - b]:
-                        accumulate_product(bucket, row[b], w[j - b])
-            t = Q.rows[i + 1][j] * (i + 1)
-            out.append(t - poly_from_bucket(bucket) if bucket else t)
-    rows = [[CoeffPoly.zero()] * (nv + 1)]
+    W = bi_quotient(Q.derivative_u(), Q)
+    rows = [[CoeffPoly.zero()] * (Q.nv + 1)]
     for i in range(1, Q.nu + 1):
         rows.append([c * Fraction(1, i) for c in W[i - 1]])
     return BiSeries(rows, Q.nu, Q.nv)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import faberfields
 from faberfields import faberkernel, inversion, polyring, series
 from faberfields.faberkernel import (
     EliminationError,
@@ -95,15 +96,16 @@ def refuse_everywhere(monkeypatch, targets, message):
 
 
 def empty_caches(monkeypatch):
-    """Bind an empty copy of every cached builder for the test, so the
-    builders it reaches, cached or not, run their own code under its patches;
-    the warm caches come back untouched afterwards, holding nothing built
-    under them."""
+    """Bind an empty copy of every cached builder and empty streams for the
+    test, so the builders it reaches, cached or not, run their own code and
+    kernels under its patches; the warm caches and streams come back
+    untouched afterwards, holding nothing built under them."""
     for mod in (faberkernel, inversion):
         for name, fn in list(vars(mod).items()):
             if hasattr(fn, "cache_info") and fn.__module__ == mod.__name__:
                 patch_everywhere(monkeypatch, ((mod, name),),
                                  lru_cache(maxsize=None)(fn.__wrapped__))
+        monkeypatch.setattr(mod, "_STREAMS", {})
 
 
 @pytest.fixture
@@ -237,7 +239,7 @@ class TestGrunsky:
     def test_compose_matches_horner_oracle(self, N, K):
         assert grunsky_compose(N, K).entries == horner_grunsky_compose(N, K)
 
-    def test_compose_avoids_reciprocal_and_horner(self, monkeypatch):
+    def test_compose_avoids_reciprocal_and_horner(self, monkeypatch, cold_caches):
         # The compose route reads F_n(1/f) off kernel powers f^-m; the
         # reciprocal series and evaluation by walking powers stay with the
         # oracle.
@@ -246,7 +248,7 @@ class TestGrunsky:
         table = grunsky_compose.__wrapped__(3, 3)
         assert table.beta(1, 1) == c1 * c1 - c2
 
-    def test_log_route_avoids_reciprocal_and_power_kernels(self, monkeypatch):
+    def test_log_route_avoids_reciprocal_and_power_kernels(self, monkeypatch, cold_caches):
         # grunsky_compose and the power ladders stand on these; the log route
         # must not, or the two routes of the Grunsky check share code.
         refuse_everywhere(monkeypatch, PRODUCT_ROUTES + (
@@ -450,7 +452,7 @@ class TestOneKernel:
                 built[name] = getattr(fn, "__wrapped__", fn)(*args)
         return built
 
-    def test_builders_avoid_product_routes(self, monkeypatch):
+    def test_builders_avoid_product_routes(self, monkeypatch, cold_caches):
         cached = {name for name, obj in vars(faberkernel).items()
                   if hasattr(obj, "cache_info")}
         assert cached == set(self.BUILDER_ARGS) - self.UNCACHED
@@ -499,8 +501,8 @@ class TestOneKernel:
         # Grunsky table must catch a wrong row ([z^3] front f^1 gains c1).
         real = faberkernel._marker_family
 
-        def corrupted(front, N):
-            rows = real(front, N)
+        def corrupted(name, front, N):
+            rows = real(name, front, N)
             if N >= 3:
                 rows[3][1] = rows[3][1] + c1
             return rows
@@ -528,6 +530,96 @@ class TestOneKernel:
         assert faberkernel._r_series(order) == recip_r_series(order)
         assert faberkernel._s_series(order) == squared_s_series(order)
         assert inverse_deriv_coeffs(order) == recip_inverse_deriv_coeffs(order)
+
+
+class TestStreams:
+    """Tables read off grown streams equal tables built on cold ones."""
+
+    #: Cold builds by (builder, args), each made once on empty streams.
+    COLD: dict = {}
+
+    def cold(self, name, *args):
+        key = (name, args)
+        if key not in self.COLD:
+            with pytest.MonkeyPatch.context() as mp:
+                empty_caches(mp)
+                self.COLD[key] = getattr(faberkernel, name)(*args)
+        return self.COLD[key]
+
+    @given(st.lists(st.tuples(st.sampled_from(["grunsky_log", "faber_polys", "t_polys",
+                                               "lambda_direct"]),
+                              st.integers(1, 6), st.integers(1, 6)),
+                    min_size=2, max_size=6))
+    @settings(max_examples=25, deadline=None)
+    def test_grown_equals_cold(self, requests):
+        # Requests in any order, growing and shrinking, on one set of
+        # streams: each table equals its oracle or its cold build, and
+        # keeps its own bounds however far the streams have grown.
+        with pytest.MonkeyPatch.context() as mp:
+            empty_caches(mp)
+            for name, n, k in requests:
+                if name == "grunsky_log":
+                    table = faberkernel.grunsky_log(n, k)
+                    assert table.entries == dense_grunsky_log(n, k)
+                    for bad in ((n + 1, 1), (1, k + 1)):
+                        with pytest.raises(IndexError):
+                            table.beta(*bad)
+                    continue
+                family = getattr(faberkernel, name)(n)
+                assert family.entries == self.cold(name, n).entries
+                with pytest.raises(IndexError):
+                    family.poly(n + 1)
+
+    def test_grown_grunsky_makes_the_products_of_one_cold_build(self, monkeypatch):
+        # A desk session n = 2..10 computes each entry of -D_u/D once, so it
+        # makes exactly the term-pair products of one cold 10 x 10 table.
+        pairs = [0]
+        real = polyring.accumulate_product
+
+        def counting(bucket, a, b):
+            pairs[0] += len(a.terms) * len(b.terms)
+            real(bucket, a, b)
+
+        patch_everywhere(monkeypatch, ((polyring, "accumulate_product"),), counting)
+        counts = []
+        for sizes in (range(2, 11), [10]):
+            with pytest.MonkeyPatch.context() as mp:
+                empty_caches(mp)
+                pairs[0] = 0
+                for n in sizes:
+                    faberkernel.grunsky_log(n, n)
+                counts.append(pairs[0])
+        assert counts[0] == counts[1] > 0
+
+    def test_corruption_stays_inside_cold_caches(self):
+        # A build under a corrupting patch writes into the test's own
+        # streams, never into the warm ones the real builder reads after.
+        want = faber_polys(5)
+        with pytest.MonkeyPatch.context() as mp:
+            empty_caches(mp)
+            real = faberkernel._marker_family
+
+            def corrupted(name, front, N):
+                rows = real(name, front, N)
+                rows[3][1] = rows[3][1] + c1
+                return rows
+
+            mp.setattr(faberkernel, "_marker_family", corrupted)
+            assert faberkernel.faber_polys(5) != want
+        assert faber_polys.__wrapped__(5) == want
+        assert self.cold("faber_polys", 5) == want
+
+    def test_clear_caches_empties_every_cache_and_stream(self, cold_caches):
+        want = (faberkernel.faber_polys(5), faberkernel.grunsky_log(4, 3),
+                reverse_table(-2, 2, 6))
+        faberfields.clear_caches()
+        for mod in (faberkernel, inversion):
+            assert mod._STREAMS == {}
+            for fn in vars(mod).values():
+                if hasattr(fn, "cache_info"):
+                    assert fn.cache_info().currsize == 0, fn
+        assert (faberkernel.faber_polys(5), faberkernel.grunsky_log(4, 3),
+                reverse_table(-2, 2, 6)) == want
 
 
 def terms_of(poly, pows: dict) -> list:

@@ -17,6 +17,7 @@ from faberfields.series import (
     SeriesError,
     WPoly,
     bi_log_in_u,
+    bi_quotient,
     const_series,
     divided_difference,
     laurent_pow,
@@ -410,6 +411,19 @@ class TestUnitPow:
         assert _integral(got)
         assert got == laurent_pow(h, alpha).truncate(order)
 
+    @given(unit_series, st.integers(min_value=-8, max_value=8), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_resumes_in_place(self, h, alpha, data):
+        # A run on a prefix of h leaves its terms in b, a run on h extends b
+        # to the one-shot power, and a shorter read after it is its prefix.
+        cut = data.draw(st.integers(min_value=0, max_value=h.order))
+        b = []
+        first = unit_pow(h.truncate(cut), alpha, b)
+        assert first == unit_pow(h.truncate(cut), alpha)
+        assert unit_pow(h, alpha, b) == unit_pow(h, alpha)
+        assert len(b) == h.order + 1
+        assert unit_pow(h.truncate(cut), alpha, b) == first
+
     def test_seed_literal(self):
         h = seed_series(3).shift(-1)
         got = unit_pow(h, -2)  # (1 + c1 z + c2 z^2)^-2
@@ -699,6 +713,29 @@ def bi_series_with_head(draw, unit_head=False):
 
 def row_series(row, nv):
     return LaurentSeries(0, list(row), order=nv)
+
+
+def clip(q: BiSeries, nu: int, nv: int) -> BiSeries:
+    """The entries of q with u power <= nu and v power <= nv."""
+    return BiSeries([row[:nv + 1] for row in q.rows[:nu + 1]], nu, nv)
+
+
+class TestBiQuotient:
+    @given(bi_series_with_head(),
+           st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_grows_in_place(self, q, shapes):
+        # Solves on rectangles in any order, each extending the same rows,
+        # agree with the one-shot solve on every entry they cover.
+        t = q.derivative_u()
+        want = bi_quotient(t, q)
+        rows = []
+        for nu, nv in shapes + [(t.nu, t.nv)]:
+            nu, nv = min(nu, t.nu), min(nv, t.nv)
+            assert bi_quotient(clip(t, nu, nv), clip(q, nu, nv), rows) is rows
+            for i in range(nu + 1):
+                assert rows[i][:nv + 1] == want[i][:nv + 1]
+        assert rows == want
 
 
 class TestBiLog:
