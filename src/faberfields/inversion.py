@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import faberkernel
+from . import faberkernel, kirillov
 from .faberkernel import _seed, a_field_direct, lambda_direct
 from .kirillov import make_L
 from .polyring import CoeffPoly
@@ -91,12 +91,14 @@ def _reversion(order: int) -> LaurentSeries:
 
 
 def clear_caches() -> None:
-    """Empty every ``lru_cache`` builder and every stream of ``faberkernel``
-    and of this module, so the next request builds from the seed again."""
+    """Empty every ``lru_cache`` builder and every stream of ``faberkernel``,
+    ``kirillov`` and this module, so the next request builds from the seed
+    again."""
     for fn in vars(faberkernel).values():
         if hasattr(fn, "cache_clear"):
             fn.cache_clear()
     faberkernel._STREAMS.clear()
+    kirillov._STREAMS.clear()
     _reversion.cache_clear()
     _STREAMS.clear()
 

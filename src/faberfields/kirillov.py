@@ -11,6 +11,15 @@ entries of the negative-index operators are materialized from an A-field
 table, whose range is validated before use.  Applying a derivation to a
 series, marker polynomial or Laurent object acts coefficientwise (the formal
 variables z, w, u are constants for the operator).
+
+The ladder checks derive each object once per index.  The images
+L_k Lambda_q (Theorem 4.2 and its k = 1 recursion), the coefficients of
+1/f' (a resumable ``unit_pow`` run) and the Lemma 4.1 resolutions
+sum_n B_n L_(k+n) c_m are grow-only streams (``_STREAMS``), as the Lambda
+rows they are derived from are in ``faberkernel``: an entry, once computed,
+is fixed, so a larger check computes only the entries it lacks, and every
+comparison still runs on every call.  ``faberfields.clear_caches()`` empties
+these streams together with the ones they are derived from.
 """
 
 from __future__ import annotations
@@ -18,10 +27,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .faberkernel import AFieldTable, _elimination_family, _seed, a_field_direct, lambda_direct
-from .polyring import CoeffPoly, mono_div_at, mono_mul, poly_from_bucket
+from .faberkernel import (AFieldTable, LambdaFamily, _elimination_family, _seed, a_field_direct,
+                          lambda_direct)
+from .polyring import CoeffPoly, mono_div_at, mono_mul, mono_row, poly_from_bucket
 from .reports import CheckReport, IdentityPair, report_from_pairs, series_pairs
 from .series import LaurentSeries, LaurentWPoly, _make, unit_pow
+
+
+#: The grow-only streams of the ladder checks, by name: "L_k Lambda_q"
+#: maps (k, q) to L_k Lambda_q, "1/f'" holds the coefficients of 1/f', and
+#: "lemma41" maps (k, m) to sum_n B_n L_(k+n) c_m.
+_STREAMS: dict = {}
 
 
 class Derivation:
@@ -55,14 +71,16 @@ class Derivation:
 
         Each term q m adds q e (m / c_j) v_j for every factor c_j^e of m, as
         raw numerator/denominator pairs into one bucket that is normalized
-        once.  Every entry is fetched first, in index order, so a too-short
-        A-table raises before any work.
+        once, reading the product cache's row of each m / c_j once.  Every
+        entry is fetched first, in index order, so a too-short A-table raises
+        before any work.
         """
         entries = {}
         for j in target.variables():
             v = self.coefficient(j)
             if v:
-                entries[j] = [(m, q.numerator, q.denominator) for m, q in v.terms.items()]
+                entries[j] = [(id(m), m, q.numerator, q.denominator)
+                              for m, q in v.terms.items()]
         bucket: dict = {}
         bucket_get = bucket.get
         for m1, q1 in target.terms.items():
@@ -71,11 +89,14 @@ class Derivation:
                 vt = entries.get(j)
                 if vt is None:
                     continue
-                # m / c_j is interned: mono_mul's cache is keyed by id().
+                # m / c_j is interned: the product rows are keyed by id().
                 mj = mono_div_at(m1, i)
+                row_get = mono_row(mj).get if mj else None
                 ne = n1 * e
-                for m2, n2, d2 in vt:
-                    m = mono_mul(mj, m2)
+                for i2, m2, n2, d2 in vt:
+                    m = row_get(i2) if mj else m2
+                    if m is None:
+                        m = mono_mul(mj, m2)
                     n = ne * n2
                     d = d1 * d2
                     cur = bucket_get(m)
@@ -198,6 +219,15 @@ def _marker_pairs(suite: str, indices: tuple, got: LaurentWPoly, want: LaurentWP
                            got.coefficient(e), want.coefficient(e))
 
 
+def _ladder_image(lams: LambdaFamily, k: int, q: int) -> LaurentWPoly:
+    """L_k Lambda_q, for Lambda_q of ``lams``, from the stream of images."""
+    images = _STREAMS.setdefault("L_k Lambda_q", {})
+    image = images.get((k, q))
+    if image is None:
+        image = images[(k, q)] = make_L(k).apply(lams.poly(q))
+    return image
+
+
 def thm42_pairs(kmax: int, pmax: int):
     """Ladder action on the eliminator family:
 
@@ -207,13 +237,12 @@ def thm42_pairs(kmax: int, pmax: int):
     """
     lams = lambda_direct(kmax + pmax)
     for k in range(1, kmax + 1):
-        op = make_L(k)
         for n in range(1, k):
             yield from _marker_pairs("thm42", (("k", k), ("n", n)),
-                                     op.apply(lams.poly(n)), LaurentWPoly({}))
+                                     _ladder_image(lams, k, n), LaurentWPoly({}))
         for p in range(0, pmax + 1):
             yield from _marker_pairs("thm42", (("k", k), ("n", p + k)),
-                                     op.apply(lams.poly(p + k)),
+                                     _ladder_image(lams, k, p + k),
                                      lams.poly(p).scale(2 * k + p))
 
 
@@ -227,9 +256,8 @@ def recursion_pairs(pmax: int):
         [d/dc1 + 2 c1 d/dc2 + 3 c2 d/dc3 + ...] Lambda_{p+1} = (p+2) Lambda_p.
     """
     lams = lambda_direct(pmax + 1)
-    op = make_L(1)
     for p in range(pmax + 1):
-        yield from _marker_pairs("recursion", (("p", p),), op.apply(lams.poly(p + 1)),
+        yield from _marker_pairs("recursion", (("p", p),), _ladder_image(lams, 1, p + 1),
                                  lams.poly(p).scale(p + 2))
 
 
@@ -237,10 +265,25 @@ def inverse_deriv_coeffs(order: int) -> list[CoeffPoly]:
     """[B_0, B_1, ..., B_order] from 1/f'(z) = 1 + sum B_n z^n.
 
     Distinct from the A-table intermediates B_k^p: these are the expansion
-    coefficients of the reciprocal derivative, a run of the power kernel.
+    coefficients of the reciprocal derivative, a run of the power kernel
+    that resumes the stream "1/f'".
     """
-    inv = unit_pow(_seed(order + 1).derivative(), -1)
+    inv = unit_pow(_seed(order + 1).derivative(), -1, _STREAMS.setdefault("1/f'", []))
     return [inv.coefficient(n) for n in range(order + 1)]
+
+
+def _lemma41_resolution(bs: list[CoeffPoly], k: int, m: int) -> CoeffPoly:
+    """sum_n B_n L_(k+n) c_m over n <= m - k, for bs = [B_0, .., B_(m-k)],
+    from the stream of resolutions."""
+    resolutions = _STREAMS.setdefault("lemma41", {})
+    acc = resolutions.get((k, m))
+    if acc is None:
+        cm = CoeffPoly.var(m)
+        acc = CoeffPoly.zero()
+        for n in range(0, m - k + 1):
+            acc = acc + bs[n] * make_L(k + n).apply_poly(cm)
+        resolutions[(k, m)] = acc
+    return acc
 
 
 def lemma41_pairs(kmax: int, mmax: int):
@@ -252,15 +295,11 @@ def lemma41_pairs(kmax: int, mmax: int):
     at n = m - k, so only finitely many terms contribute.
     """
     bs = inverse_deriv_coeffs(max(mmax - 1, 0))
-    ops = {j: make_L(j) for j in range(1, mmax + 1)}
     for k in range(1, kmax + 1):
         for m in range(1, mmax + 1):
-            cm = CoeffPoly.var(m)
-            acc = CoeffPoly.zero()
-            for n in range(0, m - k + 1):
-                acc = acc + bs[n] * ops[k + n].apply_poly(cm)
             want = CoeffPoly.one() if m == k else CoeffPoly.zero()
-            yield IdentityPair("lemma41", (("k", k), ("m", m)), acc, want)
+            yield IdentityPair("lemma41", (("k", k), ("m", m)),
+                               _lemma41_resolution(bs, k, m), want)
 
 
 def lemma41_check(kmax: int, mmax: int) -> CheckReport:

@@ -31,6 +31,7 @@ import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import is_
 from typing import Callable, Iterable
 
 from .faberkernel import lambda_direct
@@ -228,6 +229,12 @@ def _relative_ok(lhs: complex, rhs: complex) -> tuple[bool, float]:
     return gap <= SWEEP_TOL * scale, gap / scale
 
 
+def _same_terms(a, b) -> bool:
+    """True when a and b have equal terms, held by the identical monomial
+    objects in the same order, so a plan sums them to the same bits."""
+    return a is b or (a.terms == b.terms and all(map(is_, a.terms, b.terms)))
+
+
 def numeric_identity_sweep(pairs: Iterable[IdentityPair],
                            draws: int = 25) -> CheckReport:
     """Specialize identity pairs at random bounded coefficient vectors.
@@ -239,7 +246,9 @@ def numeric_identity_sweep(pairs: Iterable[IdentityPair],
 
     The monomials of all pairs are numbered once (``polyring.MonoPlan``),
     and each draw fills the plan's value table once and sums every side from
-    it, which is exactly ``specialize`` of each side at that draw.
+    it, which is exactly ``specialize`` of each side at that draw.  A pair
+    whose sides are the same polynomial term for term (``_same_terms``) has
+    one side in the plan: its two values would be the same bits.
     """
     if draws < 1:
         raise ValueError(f"numeric-sweep: need draws >= 1, got {draws}")
@@ -249,7 +258,14 @@ def numeric_identity_sweep(pairs: Iterable[IdentityPair],
     by_suite: dict[str, list[int]] = {}
     for i, pair in enumerate(pairs):
         by_suite.setdefault(pair.suite, []).append(i)
-    sides = [side for pair in pairs for side in (pair.lhs, pair.rhs)]
+    sides: list = []
+    slots: list[tuple[int, int]] = []  # each pair's lhs and rhs in the plan
+    for pair in pairs:
+        first = len(sides)
+        sides.append(pair.lhs)
+        if not _same_terms(pair.lhs, pair.rhs):
+            sides.append(pair.rhs)
+        slots.append((first, len(sides) - 1))
     plan = MonoPlan(sides)
     nmax = max(1, max(side.max_variable() for side in sides))
     cells: list[CheckCell] = []
@@ -259,7 +275,8 @@ def numeric_identity_sweep(pairs: Iterable[IdentityPair],
         for suite_name in sorted(by_suite):
             detail = ""
             for i in by_suite[suite_name]:
-                ok, rel = _relative_ok(complex(values[2 * i]), complex(values[2 * i + 1]))
+                lhs, rhs = slots[i]
+                ok, rel = _relative_ok(complex(values[lhs]), complex(values[rhs]))
                 if not ok:
                     detail = f"{pairs[i].label()} off by relative {rel:.3e} at {seed.name}"
                     break

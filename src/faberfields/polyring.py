@@ -67,9 +67,13 @@ def mono(*pairs: tuple[int, int]) -> Monomial:
     return _intern_mono(tuple(sorted(d.items())))
 
 
-# Monomials are interned so repeated products hit an id-keyed cache instead
-# of rehashing nested tuples; interned objects live in the table, which keeps
-# their ids stable.
+# Monomials are interned, so a product of two monomials is cached by the id()
+# of each factor instead of rehashing nested tuples; interned objects live in
+# the table, which keeps their ids stable.  The product cache is a table of
+# rows, one per left factor: _MONO_MUL_CACHE[id(a)][id(b)] = a * b.  A product
+# loop fetches each left factor's row once (``mono_row``) and reads it by the
+# right factor's id, calling ``mono_mul`` only for a product not yet in it; a
+# constant left factor reads no row, since its products are the right factors.
 _MONO_INTERN: dict = {(): ()}
 _MONO_MUL_CACHE: dict = {}
 
@@ -78,13 +82,25 @@ def _intern_mono(m: Monomial) -> Monomial:
     return _MONO_INTERN.setdefault(m, m)
 
 
+def mono_row(a: Monomial) -> dict:
+    """The row {id(b): a * b} of the cached products of the interned a."""
+    row = _MONO_MUL_CACHE.get(id(a))
+    if row is None:
+        row = _MONO_MUL_CACHE[id(a)] = {}
+    return row
+
+
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """a * b for interned monomials, merged once and kept in a's row.
+
+    A product with the constant monomial is the other factor and is not
+    kept: a row of them would copy every monomial it met."""
     if not a:
         return b
     if not b:
         return a
-    key = (id(a), id(b))
-    hit = _MONO_MUL_CACHE.get(key)
+    row = mono_row(a)
+    hit = row.get(id(b))
     if hit is not None:
         return hit
     # Merge two index-sorted pair tuples.
@@ -106,8 +122,7 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
             j += 1
     out.extend(a[i:])
     out.extend(b[j:])
-    m = _intern_mono(tuple(out))
-    _MONO_MUL_CACHE[key] = m
+    m = row[id(b)] = _intern_mono(tuple(out))
     return m
 
 
@@ -509,13 +524,18 @@ class CoeffPoly:
 
 
 def accumulate_product(bucket: dict, a: CoeffPoly, b: CoeffPoly) -> None:
-    """bucket += a * b, where bucket maps Monomial -> [numerator, denominator]."""
-    bt = [(m2, q2.numerator, q2.denominator) for m2, q2 in b._terms.items()]
+    """bucket += a * b, where bucket maps Monomial -> [numerator, denominator].
+
+    Each left monomial's row of the product cache is fetched once."""
+    bt = [(id(m2), m2, q2.numerator, q2.denominator) for m2, q2 in b._terms.items()]
     bucket_get = bucket.get
     for m1, q1 in a._terms.items():
         n1, d1 = q1.numerator, q1.denominator
-        for m2, n2, d2 in bt:
-            m = mono_mul(m1, m2)
+        row_get = mono_row(m1).get if m1 else None
+        for i2, m2, n2, d2 in bt:
+            m = row_get(i2) if m1 else m2
+            if m is None:
+                m = mono_mul(m1, m2)
             n = n1 * n2
             d = d1 * d2
             cur = bucket_get(m)

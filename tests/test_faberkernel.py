@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import faberfields
-from faberfields import faberkernel, inversion, polyring, series
+from faberfields import faberkernel, inversion, kirillov, polyring, series
 from faberfields.faberkernel import (
     EliminationError,
     _elimination_family,
@@ -100,7 +100,7 @@ def empty_caches(monkeypatch):
     test, so the builders it reaches, cached or not, run their own code and
     kernels under its patches; the warm caches and streams come back
     untouched afterwards, holding nothing built under them."""
-    for mod in (faberkernel, inversion):
+    for mod in (faberkernel, inversion, kirillov):
         for name, fn in list(vars(mod).items()):
             if hasattr(fn, "cache_info") and fn.__module__ == mod.__name__:
                 patch_everywhere(monkeypatch, ((mod, name),),
@@ -610,16 +610,20 @@ class TestStreams:
         assert self.cold("faber_polys", 5) == want
 
     def test_clear_caches_empties_every_cache_and_stream(self, cold_caches):
-        want = (faberkernel.faber_polys(5), faberkernel.grunsky_log(4, 3),
-                reverse_table(-2, 2, 6))
+        def build():
+            return (faberkernel.faber_polys(5), faberkernel.grunsky_log(4, 3),
+                    reverse_table(-2, 2, 6), kirillov.check_thm42(2, 3),
+                    kirillov.lemma41_check(2, 5))
+
+        want = build()
+        assert set(kirillov._STREAMS) == {"L_k Lambda_q", "1/f'", "lemma41"}
         faberfields.clear_caches()
-        for mod in (faberkernel, inversion):
+        for mod in (faberkernel, inversion, kirillov):
             assert mod._STREAMS == {}
             for fn in vars(mod).values():
                 if hasattr(fn, "cache_info"):
                     assert fn.cache_info().currsize == 0, fn
-        assert (faberkernel.faber_polys(5), faberkernel.grunsky_log(4, 3),
-                reverse_table(-2, 2, 6)) == want
+        assert build() == want
 
 
 def terms_of(poly, pows: dict) -> list:

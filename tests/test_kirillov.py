@@ -1,9 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 
-from faberfields import kirillov
+from faberfields import faberkernel, kirillov
 from faberfields.faberkernel import (a_field_direct, a_field_grunsky, grunsky_log,
                                      lambda_direct)
 from faberfields.kirillov import (
@@ -25,6 +26,7 @@ from faberfields.suites import suite_report
 
 from .oracles import partial_sum_apply, series_agree
 from .strategies import coeff_polys
+from .test_faberkernel import cold_caches, empty_caches  # noqa: F401 (fixture)
 from .test_polyring import whole_fractions
 
 c1, c2, c3 = c(1), c(2), c(3)
@@ -266,15 +268,83 @@ class TestWholeValues:
         for p in polys:
             assert not whole_fractions(p), p
 
-    def test_kernel_multiplies_interned_monomials(self, monkeypatch):
+    def test_kernel_multiplies_interned_monomials(self, monkeypatch, cold_caches):
+        # Cold images, so thm42 applies its operators here: every row of the
+        # product cache is fetched for an interned left factor, and every
+        # product not yet in its row is of interned factors.
         seen = []
-        mono_mul = kirillov.mono_mul
+        mono_row, mono_mul = kirillov.mono_row, kirillov.mono_mul
+
+        def checked_row(a):
+            assert _MONO_INTERN[a] is a, a
+            seen.append(1)
+            return mono_row(a)
 
         def checked(a, b):
             assert _MONO_INTERN[a] is a and _MONO_INTERN[b] is b, (a, b)
-            seen.append(1)
             return mono_mul(a, b)
 
+        monkeypatch.setattr(kirillov, "mono_row", checked_row)
         monkeypatch.setattr(kirillov, "mono_mul", checked)
         assert check_thm42(3, 4).passed
         assert seen
+
+
+class TestLadderStreams:
+    """The images L_k Lambda_q and the Lemma 4.1 resolutions are derived
+    once per index and read by every later check."""
+
+    def test_corrupted_lambda_fails_thm42_and_recursion(self):
+        warm = dict(kirillov._STREAMS.get("L_k Lambda_q", {}))
+        with pytest.MonkeyPatch.context() as mp:
+            empty_caches(mp)
+            real = faberkernel._marker_family
+
+            def corrupted(name, front, N):
+                rows = real(name, front, N)
+                if name == "Lambda" and N >= 3:
+                    rows[3] = rows[3][:1] + [rows[3][1] + c1] + rows[3][2:]
+                return rows
+
+            mp.setattr(faberkernel, "_marker_family", corrupted)
+            assert not check_thm42(3, 4).passed
+            assert not suite_report("recursion", recursion_pairs(4)).passed
+        # No image of the corrupted Lambda_3 reached the warm stream.
+        after = kirillov._STREAMS.get("L_k Lambda_q", {})
+        assert after.keys() == warm.keys()
+        assert all(after[key] is image for key, image in warm.items())
+        assert check_thm42(3, 4).passed
+        assert suite_report("recursion", recursion_pairs(4)).passed
+
+    @pytest.fixture
+    def apply_counts(self, monkeypatch):
+        """Counts of Derivation.apply and apply_poly calls."""
+        counts = Counter()
+        for name in ("apply", "apply_poly"):
+            def counted(op, target, orig=getattr(kirillov.Derivation, name), name=name):
+                counts[name] += 1
+                return orig(op, target)
+
+            monkeypatch.setattr(kirillov.Derivation, name, counted)
+        return counts
+
+    @staticmethod
+    def cold_counts(counts: Counter, run) -> dict:
+        """The calls ``run`` makes from cold caches; its reports must pass."""
+        counts.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            empty_caches(mp)
+            assert all(report.passed for report in run())
+        return dict(counts)
+
+    def test_images_built_once_per_index(self, apply_counts):
+        session = self.cold_counts(
+            apply_counts, lambda: [check_thm42(min(5, n), n) for n in range(2, 11)])
+        assert session["apply"] > 0
+        assert session == self.cold_counts(apply_counts, lambda: [check_thm42(5, 10)])
+
+    def test_resolutions_built_once_per_index(self, apply_counts):
+        session = self.cold_counts(
+            apply_counts, lambda: [lemma41_check(4, n + 4) for n in range(2, 11)])
+        assert session["apply_poly"] > 0
+        assert session == self.cold_counts(apply_counts, lambda: [lemma41_check(4, 14)])

@@ -250,5 +250,31 @@ class TestSweep:
         monkeypatch.setattr(numeric_oracle, "MonoPlan", Counted)
         pairs = suites.collect_pairs(order=2)
         assert numeric_identity_sweep(pairs, draws=3).passed
-        assert plans == [2 * len(pairs)]
+        # One side per pair whose sides are equal term for term, in the same
+        # order; both sides of every other pair.
+        same = sum(list(p.lhs.terms.items()) == list(p.rhs.terms.items()) for p in pairs)
+        assert 0 < same < len(pairs)
+        assert plans == [2 * len(pairs) - same]
         assert len(fills) == 3
+
+    def test_equal_sides_in_another_order_are_both_summed(self, monkeypatch):
+        plans = []
+
+        class Counted(MonoPlan):
+            __slots__ = ()
+
+            def __init__(self, polys):
+                polys = list(polys)
+                plans.append(polys)
+                super().__init__(polys)
+
+        monkeypatch.setattr(numeric_oracle, "MonoPlan", Counted)
+        lhs = c(1) + c(2) * Fraction(1, 3)
+        rhs = c(2) * Fraction(1, 3) + c(1)
+        assert lhs == rhs and list(lhs.terms) != list(rhs.terms)
+        pairs = [IdentityPair("demo", (("i", 0),), lhs, rhs),
+                 IdentityPair("demo", (("i", 1),), lhs, lhs * 1)]
+        assert numeric_identity_sweep(pairs, draws=2).passed
+        # lhs and rhs of the first pair, and one side of the second.
+        assert len(plans) == 1 and len(plans[0]) == 3
+        assert plans[0][1] is rhs

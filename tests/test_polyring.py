@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from faberfields.kirillov import make_L, partial_derivation
 from faberfields.polyring import (
     _MONO_INTERN,
+    _MONO_MUL_CACHE,
     CoeffPoly,
     MissingVariableError,
     accumulate_product,
@@ -232,9 +233,20 @@ class TestDivInt:
             poly_div_int(c1 * 3, 2, exact=True)
 
 
+def merged(a, b):
+    """The monomial a * b, by adding exponents."""
+    exps = dict(a)
+    for j, e in b:
+        exps[j] = exps.get(j, 0) + e
+    return tuple(sorted(exps.items()))
+
+
 class TestInterning:
-    # _MONO_MUL_CACHE is keyed by the id() of each factor, so every monomial
-    # that a polynomial stores must be the interned object.
+    # _MONO_MUL_CACHE is a table of rows, _MONO_MUL_CACHE[id(a)][id(b)] = a * b,
+    # keyed by the id() of each factor.  An id is reused once its object is
+    # freed, so every monomial that a polynomial stores, and every factor and
+    # product in the table, must be the interned object, which the intern
+    # table keeps alive.
 
     @given(coeff_polys, coeff_polys, rationals, var_indices, st.integers(0, 3))
     @settings(max_examples=100)
@@ -248,3 +260,22 @@ class TestInterning:
                    partial_derivation(j).apply_poly(a)]
         for p in results:
             assert all(_MONO_INTERN[m] is m for m in p.terms), p
+
+    def test_product_rows_key_interned_monomials(self):
+        @given(coeff_polys, coeff_polys, var_indices)
+        @settings(max_examples=100)
+        def products(a, b, j):
+            bucket: dict = {}
+            accumulate_product(bucket, a, b)
+            a * b
+            make_L(j).apply_poly(a * b)
+
+        products()
+        interned = {id(m): m for m in _MONO_INTERN.values()}
+        assert _MONO_MUL_CACHE
+        for ia, row in _MONO_MUL_CACHE.items():
+            a = interned[ia]
+            for ib, m in row.items():
+                b = interned[ib]
+                assert interned.get(id(m)) is m, (a, b, m)
+                assert m == merged(a, b), (a, b, m)
