@@ -106,8 +106,11 @@ def _r_series(order: int) -> LaurentSeries:
 def _s_series(order: int) -> LaurentSeries:
     """S(z) = z^2 f'(z)^2 / f(z)^2 = f'(z) f'(z) z^2 f^-2, through z^order;
     f^-2 is ``_f_power``'s, so the seed is read through z^(order + 1)."""
-    fprime = _seed(order + 1).derivative()
-    return _front("S", fprime * fprime, _f_power(-2, order - 2).shift(2))
+    def factors():
+        fprime = _seed(order + 1).derivative()
+        return fprime * fprime, _f_power(-2, order - 2).shift(2)
+
+    return _front("S", order, factors)
 
 
 def _f_power(e: int, top: int) -> LaurentSeries:
@@ -136,13 +139,17 @@ def _product_coefficient(a: LaurentSeries, b: LaurentSeries, n: int) -> CoeffPol
     return poly_from_bucket(bucket)
 
 
-def _front(name: str, a: LaurentSeries, x: LaurentSeries) -> LaurentSeries:
-    """a(z) x(z) through z^(x.order), for power series a and x known that
-    far, read off the stream ``name`` of its coefficients, grown in place."""
+def _front(name: str, order: int, factors) -> LaurentSeries:
+    """a(z) x(z) through z^order, read off the stream ``name`` of its
+    coefficients, grown in place.  ``factors()`` gives the power series a
+    and x, known through z^order; it is called only when the stream is
+    short of z^order, so a stream that already reaches it builds neither."""
     xs = _STREAMS.setdefault(name, [])
-    for n in range(len(xs), x.order + 1):
-        xs.append(_product_coefficient(a, x, n))
-    return LaurentSeries(0, xs[:x.order + 1], x.order)
+    if len(xs) <= order:
+        a, x = factors()
+        for n in range(len(xs), order + 1):
+            xs.append(_product_coefficient(a, x, n))
+    return LaurentSeries(0, xs[:order + 1], order)
 
 
 # -- family containers ------------------------------------------------------------
@@ -257,7 +264,7 @@ def faber_polys(N: int) -> FaberFamily:
     """Faber polynomials F_1..F_N of 1/f(1/z), read off the generating series."""
     if N < 1:
         raise ValueError("need N >= 1")
-    front = _front("z f'/f", _seed(N + 1).derivative(), _r_series(N))
+    front = _front("z f'/f", N, lambda: (_seed(N + 1).derivative(), _r_series(N)))
     return FaberFamily(N, tuple(WPoly(row) for row in _marker_family("F", front, N)[1:]))
 
 
@@ -266,8 +273,11 @@ def t_polys(N: int) -> TFamily:
     """T_0..T_N from the squared-derivative generating series."""
     if N < 0:
         raise ValueError("need N >= 0")
-    fprime = _seed(N + 1).derivative()
-    front = _front("z f'^2/f", fprime * fprime, _r_series(N))
+    def factors():
+        fprime = _seed(N + 1).derivative()
+        return fprime * fprime, _r_series(N)
+
+    front = _front("z f'^2/f", N, factors)
     return TFamily(N, tuple(WPoly(row) for row in _marker_family("T", front, N)))
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import faberkernel, kirillov
+from . import faberkernel, kirillov, polyring
 from .faberkernel import _seed, a_field_direct, lambda_direct
 from .kirillov import make_L
 from .polyring import CoeffPoly
@@ -93,7 +93,9 @@ def _reversion(order: int) -> LaurentSeries:
 def clear_caches() -> None:
     """Empty every ``lru_cache`` builder and every stream of ``faberkernel``,
     ``kirillov`` and this module, so the next request builds from the seed
-    again."""
+    again, and the product rows of ``polyring._MONO_MUL_CACHE``.  The
+    interned monomials stay: they keep the ids that key the rows stable, and
+    every polynomial still held refers to them."""
     for fn in vars(faberkernel).values():
         if hasattr(fn, "cache_clear"):
             fn.cache_clear()
@@ -101,6 +103,7 @@ def clear_caches() -> None:
     kirillov._STREAMS.clear()
     _reversion.cache_clear()
     _STREAMS.clear()
+    polyring._MONO_MUL_CACHE.clear()
 
 
 def _reverse_powers(qs, top: int) -> dict:

@@ -74,8 +74,10 @@ def mono(*pairs: tuple[int, int]) -> Monomial:
 # loop fetches each left factor's row once (``mono_row``) and reads it by the
 # right factor's id, calling ``mono_mul`` only for a product not yet in it; a
 # constant left factor reads no row, since its products are the right factors.
+# A row is made by the first product stored in it, so no row is empty.
 _MONO_INTERN: dict = {(): ()}
 _MONO_MUL_CACHE: dict = {}
+_NO_ROW: dict = {}  # read for a factor with no row yet; never written
 
 
 def _intern_mono(m: Monomial) -> Monomial:
@@ -83,11 +85,9 @@ def _intern_mono(m: Monomial) -> Monomial:
 
 
 def mono_row(a: Monomial) -> dict:
-    """The row {id(b): a * b} of the cached products of the interned a."""
-    row = _MONO_MUL_CACHE.get(id(a))
-    if row is None:
-        row = _MONO_MUL_CACHE[id(a)] = {}
-    return row
+    """The row {id(b): a * b} of the cached products of the interned a, to
+    read only: a factor with no product stored yet reads an empty row."""
+    return _MONO_MUL_CACHE.get(id(a), _NO_ROW)
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -99,10 +99,13 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
         return b
     if not b:
         return a
-    row = mono_row(a)
-    hit = row.get(id(b))
-    if hit is not None:
-        return hit
+    row = _MONO_MUL_CACHE.get(id(a))
+    if row is None:
+        row = _MONO_MUL_CACHE[id(a)] = {}
+    else:
+        hit = row.get(id(b))
+        if hit is not None:
+            return hit
     # Merge two index-sorted pair tuples.
     out = []
     i = j = 0

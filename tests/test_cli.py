@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from faberfields import suites
+from faberfields import clear_caches, polyring, suites
 from faberfields.cli import main
-from faberfields.polyring import CoeffPoly
+from faberfields.polyring import CoeffPoly, c
 from faberfields.reports import IdentityPair
 
 
@@ -165,6 +166,21 @@ class TestCheck:
                            "--format", "json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_bytes_and_products_unchanged_after_clear_caches(self, capsys):
+        # clear_caches() empties the product rows too, but not the interned
+        # monomials whose ids key them.
+        a, b = c(1) * c(2) + c(3), c(1) * c(1) - c(2) * Fraction(1, 3)
+        argv = ("check", "--suite", "all", "--order", "2", "--format", "json")
+        code, want, _ = run(capsys, *argv)
+        assert code == 0
+        product = a * b
+        clear_caches()
+        assert not polyring._MONO_MUL_CACHE
+        again = a * b
+        assert list(again.terms.items()) == list(product.terms.items())
+        assert all(m1 is m2 for m1, m2 in zip(again.terms, product.terms))
+        assert run(capsys, *argv) == (0, want, "")
 
     def test_all_gate_small_order(self, capsys):
         code, out, _ = run(capsys, "check", "--suite", "all", "--order", "2",

@@ -609,6 +609,16 @@ class TestStreams:
         assert faber_polys.__wrapped__(5) == want
         assert self.cold("faber_polys", 5) == want
 
+    def test_a_front_that_reaches_n_builds_no_r(self, cold_caches):
+        # The fronts z f'/f and z f'^2/f are streams: once they reach z^10,
+        # a falling N reads them and builds no r = z/f.
+        faber, t = faberkernel.faber_polys(10), faberkernel.t_polys(10)
+        assert faberkernel._r_series.cache_info().currsize == 1
+        for n in range(9, 1, -1):
+            assert faberkernel.faber_polys(n).entries == faber.entries[:n]
+            assert faberkernel.t_polys(n).entries == t.entries[:n + 1]
+        assert faberkernel._r_series.cache_info().currsize == 1
+
     def test_clear_caches_empties_every_cache_and_stream(self, cold_caches):
         def build():
             return (faberkernel.faber_polys(5), faberkernel.grunsky_log(4, 3),
@@ -617,12 +627,16 @@ class TestStreams:
 
         want = build()
         assert set(kirillov._STREAMS) == {"L_k Lambda_q", "1/f'", "lemma41"}
+        interned = dict(polyring._MONO_INTERN)
         faberfields.clear_caches()
         for mod in (faberkernel, inversion, kirillov):
             assert mod._STREAMS == {}
             for fn in vars(mod).values():
                 if hasattr(fn, "cache_info"):
                     assert fn.cache_info().currsize == 0, fn
+        # The product rows go; the interned monomials, whose ids key them, stay.
+        assert polyring._MONO_MUL_CACHE == {}
+        assert all(polyring._MONO_INTERN[m] is m for m in interned.values())
         assert build() == want
 
 

@@ -29,6 +29,23 @@ values4 = st.lists(st.complex_numbers(max_magnitude=3, allow_nan=False,
 exact_values4 = st.lists(rationals, min_size=4, max_size=4)
 
 
+def recorded_plans(monkeypatch) -> list:
+    """The sides of each plan the sweep builds, in order, as a list filled
+    while the test runs."""
+    plans = []
+
+    class Recorded(MonoPlan):
+        __slots__ = ()
+
+        def __init__(self, polys):
+            polys = list(polys)
+            plans.append(polys)
+            super().__init__(polys)
+
+    monkeypatch.setattr(numeric_oracle, "MonoPlan", Recorded)
+    return plans
+
+
 def _bits(z: complex):
     return z.real.hex(), z.imag.hex()
 
@@ -250,31 +267,52 @@ class TestSweep:
         monkeypatch.setattr(numeric_oracle, "MonoPlan", Counted)
         pairs = suites.collect_pairs(order=2)
         assert numeric_identity_sweep(pairs, draws=3).passed
-        # One side per pair whose sides are equal term for term, in the same
+        # No side of a pair whose sides are equal term for term, in the same
         # order; both sides of every other pair.
         same = sum(list(p.lhs.terms.items()) == list(p.rhs.terms.items()) for p in pairs)
         assert 0 < same < len(pairs)
-        assert plans == [2 * len(pairs) - same]
+        assert plans == [2 * (len(pairs) - same)]
         assert len(fills) == 3
 
     def test_equal_sides_in_another_order_are_both_summed(self, monkeypatch):
-        plans = []
-
-        class Counted(MonoPlan):
-            __slots__ = ()
-
-            def __init__(self, polys):
-                polys = list(polys)
-                plans.append(polys)
-                super().__init__(polys)
-
-        monkeypatch.setattr(numeric_oracle, "MonoPlan", Counted)
+        plans = recorded_plans(monkeypatch)
         lhs = c(1) + c(2) * Fraction(1, 3)
         rhs = c(2) * Fraction(1, 3) + c(1)
         assert lhs == rhs and list(lhs.terms) != list(rhs.terms)
         pairs = [IdentityPair("demo", (("i", 0),), lhs, rhs),
                  IdentityPair("demo", (("i", 1),), lhs, lhs * 1)]
         assert numeric_identity_sweep(pairs, draws=2).passed
-        # lhs and rhs of the first pair, and one side of the second.
-        assert len(plans) == 1 and len(plans[0]) == 3
-        assert plans[0][1] is rhs
+        # lhs and rhs of the first pair, and no side of the second.
+        assert len(plans) == 1 and len(plans[0]) == 2
+        assert plans[0][0] is lhs and plans[0][1] is rhs
+
+    def test_same_term_pairs_alone_pass_with_an_empty_plan(self, monkeypatch):
+        plans = recorded_plans(monkeypatch)
+        p = c(1) * c(2) + c(3) * Fraction(2, 7)
+        pairs = [IdentityPair("same", (("i", 0),), p, p),
+                 IdentityPair("same", (("i", 1),), p, p * 1),
+                 IdentityPair("same", (("i", 2),), CoeffPoly.zero(), CoeffPoly.zero())]
+        rep = numeric_identity_sweep(pairs, draws=3)
+        assert plans == [[]]
+        assert [(cell.indices, cell.ok, cell.detail) for cell in rep.cells] == \
+            [((("draw", d), ("suite", "same")), True, "") for d in range(3)]
+
+    def test_corrupted_side_still_fails_its_cell(self):
+        pairs = list(suites.collect_pairs(order=2))
+        i = next(i for i, p in enumerate(pairs)
+                 if not numeric_oracle._same_terms(p.lhs, p.rhs) and p.lhs.variables())
+        bad = pairs[i]
+        pairs[i] = IdentityPair(bad.suite, bad.indices, bad.lhs, bad.rhs + c(1))
+        rep = numeric_identity_sweep(pairs, draws=3)
+        failed = [cell for cell in rep.cells if not cell.ok]
+        assert [cell.indices for cell in failed] == \
+            [(("draw", d), ("suite", bad.suite)) for d in range(3)]
+        assert all(cell.detail.startswith(f"{bad.label()} off by relative")
+                   for cell in failed)
+
+    def test_order5_plan_holds_only_pairs_that_can_fail(self, monkeypatch):
+        plans = recorded_plans(monkeypatch)
+        pairs = suites.collect_pairs(order=5)
+        assert numeric_identity_sweep(pairs, draws=1).passed
+        # Both sides of every pair would be 48,892 term slots.
+        assert sum(len(side.terms) for side in plans[0]) <= 4616

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faberfields import clear_caches
+from faberfields.cli import main
 from faberfields.kirillov import make_L, partial_derivation
 from faberfields.polyring import (
     _MONO_INTERN,
@@ -260,6 +262,14 @@ class TestInterning:
                    partial_derivation(j).apply_poly(a)]
         for p in results:
             assert all(_MONO_INTERN[m] is m for m in p.terms), p
+
+    def test_no_row_is_empty(self, capsys):
+        # A row is made by the first product stored in it: a left factor met
+        # only with the constant monomial has none.
+        clear_caches()
+        assert main(["check", "--suite", "all", "--order", "2"]) == 0
+        capsys.readouterr()
+        assert _MONO_MUL_CACHE and all(_MONO_MUL_CACHE.values())
 
     def test_product_rows_key_interned_monomials(self):
         @given(coeff_polys, coeff_polys, var_indices)
