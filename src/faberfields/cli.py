@@ -17,6 +17,8 @@ from . import faberkernel, inversion, suites
 from .numeric_oracle import contour_check, koebe_seed, numeric_identity_sweep, \
     random_seed, zero_seed
 from .polyring import CoeffPoly
+from .reports import CheckCell, CheckReport
+from .series import SeriesError
 
 
 class UsageError(Exception):
@@ -272,12 +274,18 @@ def _cmd_check(args):
     overrides = {flag: getattr(args, flag) for flag in suites.FLAGS
                  if getattr(args, flag) is not None}
     # Each suite's pairs are built once: its exact report checks them, and
-    # the sweep specializes the same objects, in registry order.
+    # the sweep specializes the same objects, in registry order.  A builder
+    # whose self-check raises fails the suite in one cell, with no pairs.
     reports, swept = [], []
     for name in exact:
         checked = args.suite in (name, "all")
         if checked or include_sweep:
-            pairs = list(suites.suite_pairs(name, args.order, **overrides))
+            try:
+                pairs = list(suites.suite_pairs(name, args.order, **overrides))
+            except (faberkernel.EliminationError, SeriesError) as exc:
+                detail = f"{type(exc).__name__}: {exc}"
+                reports.append(CheckReport(name, (CheckCell((), False, detail),)))
+                continue
             if not pairs:
                 raise UsageError(f"suite {name}: no identity pair at these sizes, "
                                  f"so nothing to check")

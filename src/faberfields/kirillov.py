@@ -29,7 +29,7 @@ from typing import Callable
 
 from .faberkernel import (AFieldTable, LambdaFamily, _elimination_family, _seed, a_field_direct,
                           lambda_direct)
-from .polyring import CoeffPoly, mono_div_at, mono_mul, mono_row, poly_from_bucket
+from .polyring import CoeffPoly, mono_quotients, poly_from_bucket
 from .reports import CheckReport, IdentityPair, report_from_pairs, series_pairs
 from .series import LaurentSeries, LaurentWPoly, _make, unit_pow
 
@@ -71,32 +71,26 @@ class Derivation:
 
         Each term q m adds q e (m / c_j) v_j for every factor c_j^e of m, as
         raw numerator/denominator pairs into one bucket that is normalized
-        once, reading the product cache's row of each m / c_j once.  Every
-        entry is fetched first, in index order, so a too-short A-table raises
-        before any work.
+        once; a product of monomials is their sum, as in
+        ``polyring.accumulate_product``.  Every entry is fetched first, in
+        index order, so a too-short A-table raises before any work.
         """
         entries = {}
         for j in target.variables():
             v = self.coefficient(j)
             if v:
-                entries[j] = [(id(m), m, q.numerator, q.denominator)
-                              for m, q in v.terms.items()]
+                entries[j] = [(m, q.numerator, q.denominator) for m, q in v.terms.items()]
         bucket: dict = {}
         bucket_get = bucket.get
         for m1, q1 in target.terms.items():
             n1, d1 = q1.numerator, q1.denominator
-            for i, (j, e) in enumerate(m1):
+            for j, e, mj in mono_quotients(m1):
                 vt = entries.get(j)
                 if vt is None:
                     continue
-                # m / c_j is interned: the product rows are keyed by id().
-                mj = mono_div_at(m1, i)
-                row_get = mono_row(mj).get if mj else None
                 ne = n1 * e
-                for i2, m2, n2, d2 in vt:
-                    m = row_get(i2) if mj else m2
-                    if m is None:
-                        m = mono_mul(mj, m2)
+                for m2, n2, d2 in vt:
+                    m = mj + m2
                     n = ne * n2
                     d = d1 * d2
                     cur = bucket_get(m)

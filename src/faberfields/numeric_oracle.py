@@ -34,7 +34,6 @@ import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import is_
 from typing import Callable, Iterable
 
 from .faberkernel import lambda_direct
@@ -233,10 +232,9 @@ def _relative_ok(lhs: complex, rhs: complex) -> tuple[bool, float]:
 
 
 def _same_terms(a, b) -> bool:
-    """True when a and b are one polynomial term for term: equal terms, held
-    by the identical monomial objects in the same order, so a - b is
-    identically zero."""
-    return a is b or (a.terms == b.terms and all(map(is_, a.terms, b.terms)))
+    """True when a and b are one polynomial term for term: equal terms in the
+    same order, so a - b is identically zero."""
+    return a is b or list(a.terms.items()) == list(b.terms.items())
 
 
 def numeric_identity_sweep(pairs: Iterable[IdentityPair],

@@ -7,40 +7,53 @@ components; all identity checks in this package ride on that grading.
 
 Representation:
 
-    Monomial  = tuple of (variable index, exponent) pairs, sorted by index,
-                no zero exponents; the empty tuple is the constant monomial.
+    Monomial  = one non-negative int, the packed exponent vector: the
+                exponent of c_j sits in an 8-bit field at bit 8 (j - 1), and
+                the constant monomial is 0.  A product is an integer sum.
     CoeffPoly = {Monomial: int | Fraction}, zero coefficients never stored.
 
-Both are immutable in practice (dicts are never mutated after construction)
-and every operation is a pure function, so values can be shared freely across
-threads.  Equality is structural, which makes ``==`` a reliable exact
-identity test.
+The top bit of each field is a guard: an index or an exponent is at most
+127, which every monomial of weight at most 127 meets, and
+``poly_from_bucket`` refuses a set guard bit once per output term.  The cap
+removes nothing usable: a dense coefficient of weight 128 can have p(128),
+about 4.4e9, terms.  Other modules only use :func:`mono`, :func:`mono_pairs` and
+:func:`mono_quotients`.
 
-Rationals are ``fractions.Fraction``: always in lowest terms, positive
-denominator, zero is ``0/1``.  Whole values are kept as plain ``int`` (which
-satisfies the same Rational protocol and compares equal to the matching
-Fraction): no stored coefficient is a ``Fraction`` with denominator 1.  The
-constructor, ``+``, ``-``, ``*`` by a scalar or a polynomial, ``partial``,
-``poly_from_bucket`` and ``poly_div_int`` all keep this invariant, and so
-does ``kirillov.Derivation.apply_poly``, which builds on the bucket.
-Products accumulate numerator/denominator pairs in raw integers, normalizing
-once per output term; together these keep the hot convolution and scaling
-loops close to integer speed.
+Values are immutable in practice, and every operation is a pure function, so
+they can be shared across threads; ``==`` is an exact identity test.
+Rationals are ``fractions.Fraction`` in lowest terms; whole values are kept
+as plain ``int`` (which compares equal to the matching Fraction) by the
+constructor, ``+``, ``-``, ``*``, ``partial``, ``poly_from_bucket``,
+``poly_div_int`` and ``kirillov.Derivation.apply_poly``.  Products add up
+numerator/denominator pairs in raw integers, normalizing once per output term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
-from operator import add, mul
+from itertools import count, islice
+from operator import add, mul, or_
 from typing import Iterable, Mapping
 
-#: A monomial: sorted tuple of (variable index, exponent) pairs.
-Monomial = tuple
+#: A monomial: the packed exponent vector of its c_j, one int.
+Monomial = int
 
 #: The constant monomial (the empty product).
-ONE_MONO: Monomial = ()
+ONE_MONO: Monomial = 0
+
+# The layout: one 8-bit field per variable, whose top bit is the guard, so
+# an index or an exponent is at most _CAP.  _exponents reads the fields as
+# bytes, which ties the width to 8.  _GUARD holds the guard bits of c1..c127.
+_BITS = 8
+_CAP = 127
+_GUARD = int.from_bytes(b"\x80" * _CAP, "little")
+
+# Always empty: perfbench/spans.py reads the len() of these two names, which
+# held the monomial intern table and its product cache before monomials
+# were packed.
+_MONO_INTERN: dict = {}
+_MONO_MUL_CACHE: dict = {}
 
 
 class MissingVariableError(KeyError):
@@ -62,93 +75,43 @@ def mono(*pairs: tuple[int, int]) -> Monomial:
             raise ValueError(f"variable index must be >= 1, got {j}")
         if e < 0:
             raise ValueError(f"exponent must be >= 0, got {e}")
-        if e:
-            d[j] = d.get(j, 0) + e
-    return _intern_mono(tuple(sorted(d.items())))
-
-
-# Monomials are interned, so a product of two monomials is cached by the id()
-# of each factor instead of rehashing nested tuples; interned objects live in
-# the table, which keeps their ids stable.  The product cache is a table of
-# rows, one per left factor: _MONO_MUL_CACHE[id(a)][id(b)] = a * b.  A product
-# loop fetches each left factor's row once (``mono_row``) and reads it by the
-# right factor's id, calling ``mono_mul`` only for a product not yet in it; a
-# constant left factor reads no row, since its products are the right factors.
-# A row is made by the first product stored in it, so no row is empty.
-_MONO_INTERN: dict = {(): ()}
-_MONO_MUL_CACHE: dict = {}
-_NO_ROW: dict = {}  # read for a factor with no row yet; never written
-
-
-def _intern_mono(m: Monomial) -> Monomial:
-    return _MONO_INTERN.setdefault(m, m)
-
-
-def mono_row(a: Monomial) -> dict:
-    """The row {id(b): a * b} of the cached products of the interned a, to
-    read only: a factor with no product stored yet reads an empty row."""
-    return _MONO_MUL_CACHE.get(id(a), _NO_ROW)
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    """a * b for interned monomials, merged once and kept in a's row.
-
-    A product with the constant monomial is the other factor and is not
-    kept: a row of them would copy every monomial it met."""
-    if not a:
-        return b
-    if not b:
-        return a
-    row = _MONO_MUL_CACHE.get(id(a))
-    if row is None:
-        row = _MONO_MUL_CACHE[id(a)] = {}
-    else:
-        hit = row.get(id(b))
-        if hit is not None:
-            return hit
-    # Merge two index-sorted pair tuples.
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        ja, ea = a[i]
-        jb, eb = b[j]
-        if ja == jb:
-            out.append((ja, ea + eb))
-            i += 1
-            j += 1
-        elif ja < jb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    m = row[id(b)] = _intern_mono(tuple(out))
+        d[j] = d.get(j, 0) + e
+    m = 0
+    for j, e in d.items():
+        if not e:
+            continue
+        if j > _CAP or e > _CAP:
+            raise ValueError(f"c{j}^{e} is past the cap: an index or an exponent "
+                             f"is at most {_CAP}")
+        m += e << _BITS * (j - 1)
     return m
 
 
-def mono_div_at(m: Monomial, i: int) -> Monomial:
-    """m / c_j for the pair (j, e) at position i of m, interned."""
-    j, e = m[i]
-    if e == 1:
-        return _intern_mono(m[:i] + m[i + 1:])
-    return _intern_mono(m[:i] + ((j, e - 1),) + m[i + 1:])
+def _exponents(m: Monomial) -> bytes:
+    """The dense exponent vector of m, c1 first, through its last variable."""
+    return m.to_bytes((m.bit_length() + _BITS - 1) // _BITS, "little")
+
+
+def mono_pairs(m: Monomial) -> tuple[tuple[int, int], ...]:
+    """The (index, exponent) pairs of m, by index; () for the constant."""
+    return tuple((j, e) for j, e in enumerate(_exponents(m), 1) if e)
+
+
+def mono_quotients(m: Monomial) -> list[tuple[int, int, Monomial]]:
+    """[(j, e, m / c_j) for each factor c_j^e of m], by index."""
+    return [(j, e, m - (1 << _BITS * (j - 1))) for j, e in mono_pairs(m)]
 
 
 def mono_weight(m: Monomial) -> int:
     """Weight of a monomial: sum of index * exponent."""
-    return sum(j * e for j, e in m)
+    return sum(map(mul, _exponents(m), count(1)))
 
 
 def mono_key(m: Monomial):
-    """Canonical sort key: graded by weight, then ascending dense exponent vector."""
-    w = mono_weight(m)
-    dense = [0] * w
-    for j, e in m:
-        dense[j - 1] = e
-    return (w, tuple(dense))
+    """Canonical sort key: graded by weight, then ascending dense exponent
+    vector.  Two vectors of one weight compare as they would padded with
+    zeros to that weight, since the last byte of each is nonzero."""
+    return (mono_weight(m), _exponents(m))
 
 
 class MonoPlan:
@@ -157,7 +120,8 @@ class MonoPlan:
     The plan numbers every distinct monomial of the polynomials once: index 0
     is the constant monomial, then come the single factors ``c_j^e`` in the
     order the terms first meet them, then the monomials of two, three, ...
-    factors, each after its prefix ``m[:-1]``.  The value of a monomial is
+    factors, each after its prefix ``t[:-1]`` in its pairs ``t``
+    (:func:`mono_pairs`).  The value of a monomial is
     then one product ``vals[prefix] * vals[last factor]``, the left fold of
     its factors in index order, and each length fills its part of the table
     in one C-level ``map``.  Each polynomial is kept as its coefficients, and
@@ -180,34 +144,36 @@ class MonoPlan:
         from array import array
 
         polys = list(polys)
-        index: dict = {ONE_MONO: 0}
+        index: dict = {(): 0}
         factors: list = []
         longer: dict[int, dict] = {}
+        pairs: dict = {}
         for poly in polys:
             for m in poly.terms:
-                if m in longer.get(len(m), ()):
+                if m in pairs:
                     continue
-                for f in m:
+                t = pairs[m] = mono_pairs(m)
+                for f in t:
                     if (f,) not in index:
                         index[(f,)] = len(factors) + 1
                         factors.append(f)
-                for k in range(len(m), 1, -1):
+                for k in range(len(t), 1, -1):
                     level = longer.setdefault(k, {})
-                    if m[:k] in level:
+                    if t[:k] in level:
                         break
-                    level[m[:k]] = None
+                    level[t[:k]] = None
         levels = []
         for k in sorted(longer):
             prefixes, lasts = array("I"), array("I")
-            for m in longer[k]:
-                index[m] = len(index)
-                prefixes.append(index[m[:-1]])
-                lasts.append(index[m[-1:]])
+            for t in longer[k]:
+                index[t] = len(index)
+                prefixes.append(index[t[:-1]])
+                lasts.append(index[t[-1:]])
             levels.append((prefixes, lasts))
         self._factors = factors
         self._levels = levels
         self._coeffs = [poly.terms.values() for poly in polys]
-        self._monos = array("I", (index[m] for poly in polys for m in poly.terms))
+        self._monos = array("I", (index[pairs[m]] for poly in polys for m in poly.terms))
 
     def evaluate(self, values: Mapping[int, object]) -> list:
         """[poly at c_j = values[j] for each polynomial of the plan].
@@ -231,7 +197,7 @@ class MonoPlan:
 def mono_render(m: Monomial) -> str:
     if not m:
         return "1"
-    return "*".join(f"c{j}" if e == 1 else f"c{j}^{e}" for j, e in m)
+    return "*".join(f"c{j}" if e == 1 else f"c{j}^{e}" for j, e in mono_pairs(m))
 
 
 def _as_rational(x):
@@ -266,7 +232,10 @@ class CoeffPoly:
             for m, q in terms.items():
                 q = _as_rational(q)
                 if q:
-                    clean[_intern_mono(m)] = q
+                    if m.__class__ is not int or m < 0 or m & _GUARD or m >> _BITS * _CAP:
+                        raise ValueError(f"{m!r} is not a monomial: an index or an "
+                                         f"exponent is at most {_CAP}")
+                    clean[m] = q
         self._terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -307,11 +276,7 @@ class CoeffPoly:
 
     def variables(self) -> tuple[int, ...]:
         """Sorted indices of all variables that occur."""
-        seen = set()
-        for m in self._terms:
-            for j, _ in m:
-                seen.add(j)
-        return tuple(sorted(seen))
+        return tuple(j for j, _ in mono_pairs(reduce(or_, self._terms, 0)))
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self._terms.items(), key=lambda t: mono_key(t[0]))
@@ -410,16 +375,17 @@ class CoeffPoly:
         """Formal partial derivative with respect to c_j."""
         if j < 1:
             raise ValueError(f"variable index must be >= 1, got {j}")
+        if j > _CAP:
+            return CoeffPoly.zero()  # no stored monomial holds c_j
         # m -> m / c_j is one-to-one on the monomials holding c_j, so no two
         # terms land on the same output monomial.
         out: dict[Monomial, Fraction] = {}
+        shift = _BITS * (j - 1)
+        unit = 1 << shift
         for m, q in self._terms.items():
-            for i, (jj, e) in enumerate(m):
-                if jj == j:
-                    out[mono_div_at(m, i)] = _whole(q * e)
-                    break
-                if jj > j:
-                    break
+            e = m >> shift & _CAP  # a stored field's guard bit is clear
+            if e:
+                out[m - unit] = _whole(q * e)
         res = CoeffPoly.__new__(CoeffPoly)
         res._terms = out
         return res
@@ -459,11 +425,7 @@ class CoeffPoly:
 
     def max_variable(self) -> int:
         """Largest variable index occurring (0 for constants)."""
-        best = 0
-        for m in self._terms:
-            if m and m[-1][0] > best:
-                best = m[-1][0]
-        return best
+        return len(_exponents(reduce(or_, self._terms, 0)))
 
     def specialize(self, values: Mapping[int, object]):
         """Evaluate at c_j = values[j], by a :class:`MonoPlan` of this one
@@ -505,7 +467,7 @@ class CoeffPoly:
     def to_json_terms(self) -> list[dict]:
         """Canonical JSON form: list of {"coeff": "p/q", "exps": {...}} terms."""
         return [
-            {"coeff": str(q), "exps": {str(j): e for j, e in m}}
+            {"coeff": str(q), "exps": {str(j): e for j, e in mono_pairs(m)}}
             for m, q in self.sorted_terms()
         ]
 
@@ -529,16 +491,14 @@ class CoeffPoly:
 def accumulate_product(bucket: dict, a: CoeffPoly, b: CoeffPoly) -> None:
     """bucket += a * b, where bucket maps Monomial -> [numerator, denominator].
 
-    Each left monomial's row of the product cache is fetched once."""
-    bt = [(id(m2), m2, q2.numerator, q2.denominator) for m2, q2 in b._terms.items()]
+    A product of monomials is their sum; ``poly_from_bucket`` checks it
+    against the cap."""
+    bt = [(m2, q2.numerator, q2.denominator) for m2, q2 in b._terms.items()]
     bucket_get = bucket.get
     for m1, q1 in a._terms.items():
         n1, d1 = q1.numerator, q1.denominator
-        row_get = mono_row(m1).get if m1 else None
-        for i2, m2, n2, d2 in bt:
-            m = row_get(i2) if m1 else m2
-            if m is None:
-                m = mono_mul(m1, m2)
+        for m2, n2, d2 in bt:
+            m = m1 + m2
             n = n1 * n2
             d = d1 * d2
             cur = bucket_get(m)
@@ -552,9 +512,14 @@ def accumulate_product(bucket: dict, a: CoeffPoly, b: CoeffPoly) -> None:
 
 
 def poly_from_bucket(bucket: dict) -> CoeffPoly:
-    """Normalize an accumulation bucket into a canonical CoeffPoly."""
+    """Normalize an accumulation bucket into a canonical CoeffPoly.
+
+    Raises OverflowError for a monomial with an exponent past the cap, which
+    a product of two stored monomials marks in the guard bit of its field."""
     out = {}
     for m, (n, d) in bucket.items():
+        if m & _GUARD:
+            raise OverflowError(f"{mono_render(m)} has an exponent past the cap {_CAP}")
         if n:
             out[m] = n if d == 1 else _whole(Fraction(n, d))
     res = CoeffPoly.__new__(CoeffPoly)

@@ -60,7 +60,7 @@ class CheckReport:
         for c in self.cells:
             if not c.ok:
                 keys = " ".join(f"{n}={v}" for n, v in c.indices)
-                lines.append(f"  FAIL [{keys}] {c.detail}")
+                lines.append(f"  FAIL [{keys}] {c.detail}" if keys else f"  FAIL {c.detail}")
         return "\n".join(lines)
 
     def _grid_axes(self):

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 from faberfields.faberkernel import EliminationError, _f_power, faber_polys, lambda_direct
-from faberfields.polyring import CoeffPoly, MissingVariableError
+from faberfields.polyring import CoeffPoly, MissingVariableError, mono_pairs
 from faberfields.series import (
     INF,
     BiSeries,
@@ -184,7 +184,7 @@ def termwise_specialize(poly: CoeffPoly, values):
     total = None
     for m, q in poly.terms.items():
         term = None
-        for j, e in m:
+        for j, e in mono_pairs(m):
             if j not in values:
                 raise MissingVariableError(j)
             p = values[j] ** e

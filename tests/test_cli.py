@@ -10,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from faberfields import clear_caches, polyring, suites
+from faberfields import clear_caches, faberkernel, polyring, suites
 from faberfields.cli import main
 from faberfields.polyring import CoeffPoly, c
 from faberfields.reports import IdentityPair
+
+from .test_faberkernel import cold_caches  # noqa: F401 (fixture)
 
 
 def run(capsys, *argv):
@@ -168,19 +170,57 @@ class TestCheck:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_bytes_and_products_unchanged_after_clear_caches(self, capsys):
-        # clear_caches() empties the product rows too, but not the interned
-        # monomials whose ids key them.
         a, b = c(1) * c(2) + c(3), c(1) * c(1) - c(2) * Fraction(1, 3)
         argv = ("check", "--suite", "all", "--order", "2", "--format", "json")
         code, want, _ = run(capsys, *argv)
         assert code == 0
         product = a * b
         clear_caches()
-        assert not polyring._MONO_MUL_CACHE
         again = a * b
         assert list(again.terms.items()) == list(product.terms.items())
-        assert all(m1 is m2 for m1, m2 in zip(again.terms, product.terms))
         assert run(capsys, *argv) == (0, want, "")
+
+    def test_perfbench_names_stay_empty(self, capsys):
+        # perfbench reads len() of the two names; no cache stands behind them.
+        assert run(capsys, "check", "--suite", "all", "--order", "3")[0] == 0
+        assert polyring._MONO_MUL_CACHE == {} and polyring._MONO_INTERN == {}
+
+    @pytest.mark.parametrize("row, entry, raised, detail", [
+        ("Lambda", 0, {"routes", "thm51", "negative-action"},
+         "coefficient of z^1 is c1, expected 0"),
+        ("F", 1, {"routes"}, "coefficient of z^-1 is c1, expected 0"),
+    ])
+    def test_raising_self_check_fails_its_suite(self, capsys, monkeypatch, cold_caches,
+                                                row, entry, raised, detail):
+        # c1 joins one entry of row 3 of the Lambda or F family: a builder's
+        # self-check raises inside each suite in ``raised``, which then fails
+        # in one cell carrying the message, and the run prints its whole
+        # report and exits 1.
+        real = faberkernel._marker_family
+
+        def corrupted(name, front, N):
+            rows = real(name, front, N)
+            if name == row and N >= 3:
+                rows[3] = rows[3][:entry] + [rows[3][entry] + c(1)] + rows[3][entry + 1:]
+            return rows
+
+        monkeypatch.setattr(faberkernel, "_marker_family", corrupted)
+        argv = ("check", "--suite", "all", "--order", "4")
+        message = f"EliminationError: elimination failed for p=3: {detail}"
+        code, text, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        assert text.endswith("overall: FAIL\n") and "contour p=4" in text
+        for name in suites.suite_names():
+            failed_cell = f"suite {name}: FAIL (0/1 cells)\n  FAIL {message}\n"
+            assert (failed_cell in text) == (name in raised), name
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (1, "")
+        obj = json.loads(out)
+        assert obj["ok"] is False and len(obj["contour"]) == 5
+        cells = {s["suite"]: s["cells"] for s in obj["suites"]}
+        assert list(cells) == suites.suite_names() + ["numeric-sweep"]
+        assert {name for name, got in cells.items()
+                if got == [{"ok": False, "detail": message}]} == raised
 
     def test_all_gate_small_order(self, capsys):
         code, out, _ = run(capsys, "check", "--suite", "all", "--order", "2",

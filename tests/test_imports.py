@@ -1,6 +1,6 @@
 """Every name a package module imports is used in that module, and every
-module-level name is read somewhere in the package, or, if public, exported
-by ``__init__`` or named by the benchmark under ``perfbench/``.
+module-level name is read somewhere in the package, exported by ``__init__``
+if public, or named by the benchmark under ``perfbench/``.
 
 A stale import keeps a dead name reachable (for instance as a patch target
 that no code calls any more), so it is refused here; ``__init__`` re-exports
@@ -80,10 +80,11 @@ def _unreferenced(sources: dict[str, str], wanted, allowed=frozenset()) -> list[
             and not any(name in r for j, r in enumerate(reads) if j != i)]
 
 
-def unreferenced_privates(sources: dict[str, str]) -> list[str]:
-    """The unreferenced module-level private names of the sources."""
+def unreferenced_privates(sources: dict[str, str], named=frozenset()) -> list[str]:
+    """The unreferenced module-level private names of the sources, leaving
+    out those in ``named``."""
     return _unreferenced(sources, lambda name: name.startswith("_")
-                         and not name.startswith("__"))
+                         and not name.startswith("__"), set(named))
 
 
 def unreferenced_publics(sources: dict[str, str], named=frozenset()) -> list[str]:
@@ -106,13 +107,20 @@ def named_in(source: str) -> set[str]:
                                 and node.value.isidentifier()}
 
 
+def perfbench_names() -> set[str]:
+    return set().union(*(named_in(p.read_text()) for p in PERFBENCH))
+
+
 def test_no_unreferenced_private_name():
-    assert unreferenced_privates({p.name: p.read_text() for p in PACKAGE}) == []
+    # polyring._MONO_INTERN and _MONO_MUL_CACHE are kept, empty, for the
+    # benchmark alone.
+    assert unreferenced_privates({p.name: p.read_text() for p in PACKAGE},
+                                 perfbench_names()) == []
 
 
 def test_no_unreferenced_public_name():
-    named = set().union(*(named_in(p.read_text()) for p in PERFBENCH))
-    assert unreferenced_publics({p.name: p.read_text() for p in PACKAGE}, named) == []
+    assert unreferenced_publics({p.name: p.read_text() for p in PACKAGE},
+                                perfbench_names()) == []
 
 
 def test_detects_an_unreferenced_private_name():
@@ -126,6 +134,8 @@ def test_detects_an_unreferenced_private_name():
     }
     assert unreferenced_privates(sources) == [
         "a.py line 2: _DEAD", "a.py line 5: _dead", "a.py line 7: _Unused"]
+    assert unreferenced_privates(sources, {"_DEAD"}) == [
+        "a.py line 5: _dead", "a.py line 7: _Unused"]
 
 
 def test_detects_an_unreferenced_public_name():
@@ -142,3 +152,51 @@ def test_detects_an_unreferenced_public_name():
     assert "benched" in named
     assert unreferenced_publics(sources, named) == [
         "a.py line 2: DEAD", "a.py line 7: recursive", "a.py line 11: Unused"]
+
+
+#: What the packed monomial layout is made of: bit shifts and masks, the
+#: byte view of an int, and polyring's width, cap and guard constants.  A
+#: shift or mask by the literal 1 is binary powering's halving and parity
+#: test (``series.laurent_pow``), not a field of the layout.
+LAYOUT_OPS = (ast.LShift, ast.RShift, ast.BitAnd, ast.BitXor)
+LAYOUT_NAMES = {"_BITS", "_CAP", "_GUARD", "_exponents", "to_bytes", "from_bytes",
+                "bit_length"}
+
+
+def _by_one(node) -> bool:
+    right = node.right if isinstance(node, ast.BinOp) else node.value
+    return isinstance(right, ast.Constant) and right.value == 1
+
+
+def layout_uses(source: str) -> list[str]:
+    """The lines of a source that shift or mask an int by more than 1, view
+    it as bytes, or name one of polyring's layout constants."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, LAYOUT_OPS)
+                and not _by_one(node)):
+            found.append(f"line {node.lineno}: {type(node.op).__name__}")
+        names = {getattr(node, "id", None), getattr(node, "attr", None),
+                 getattr(node, "name", None) if isinstance(node, ast.alias) else None}
+        for name in sorted(names & LAYOUT_NAMES):
+            found.append(f"line {getattr(node, 'lineno', '?')}: {name}")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "polyring.py"],
+                         ids=lambda p: p.name)
+def test_monomial_layout_stays_in_polyring(path):
+    assert layout_uses(path.read_text()) == []
+
+
+def test_detects_a_layout_use():
+    source = ("from .polyring import _CAP, mono_pairs\n"
+              "m = 1 << 8 * (j - 1)\n"
+              "e = m >> 8 & 255\n"
+              "k >>= 1\n"
+              "odd = k & 1\n"
+              "b = m.to_bytes(2, 'little')\n"
+              "pairs = mono_pairs(m) + {1} | {2}\n")
+    assert layout_uses(source) == [
+        "line 1: _CAP", "line 2: LShift", "line 3: BitAnd", "line 3: RShift",
+        "line 6: to_bytes"]

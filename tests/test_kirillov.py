@@ -20,7 +20,7 @@ from faberfields.kirillov import (
     recursion_pairs,
     sample_polynomials,
 )
-from faberfields.polyring import _MONO_INTERN, CoeffPoly, c
+from faberfields.polyring import CoeffPoly, c
 from faberfields.series import LaurentWPoly, WPoly, seed_series, z_series
 from faberfields.suites import suite_report
 
@@ -267,27 +267,6 @@ class TestWholeValues:
         assert polys
         for p in polys:
             assert not whole_fractions(p), p
-
-    def test_kernel_multiplies_interned_monomials(self, monkeypatch, cold_caches):
-        # Cold images, so thm42 applies its operators here: every row of the
-        # product cache is fetched for an interned left factor, and every
-        # product not yet in its row is of interned factors.
-        seen = []
-        mono_row, mono_mul = kirillov.mono_row, kirillov.mono_mul
-
-        def checked_row(a):
-            assert _MONO_INTERN[a] is a, a
-            seen.append(1)
-            return mono_row(a)
-
-        def checked(a, b):
-            assert _MONO_INTERN[a] is a and _MONO_INTERN[b] is b, (a, b)
-            return mono_mul(a, b)
-
-        monkeypatch.setattr(kirillov, "mono_row", checked_row)
-        monkeypatch.setattr(kirillov, "mono_mul", checked)
-        assert check_thm42(3, 4).passed
-        assert seen
 
 
 class TestLadderStreams:

@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faberfields import clear_caches
-from faberfields.cli import main
 from faberfields.kirillov import make_L, partial_derivation
 from faberfields.polyring import (
-    _MONO_INTERN,
-    _MONO_MUL_CACHE,
+    ONE_MONO,
     CoeffPoly,
     MissingVariableError,
     accumulate_product,
     c,
     mono,
+    mono_pairs,
     mono_weight,
     poly_div_int,
     poly_from_bucket,
@@ -32,7 +30,7 @@ class TestMonomials:
         assert mono_weight(m) == 2 * 1 + 3 * 1
 
     def test_zero_exponents_dropped(self):
-        assert mono((2, 0)) == ()
+        assert mono((2, 0)) == ONE_MONO
         assert mono((1, 1), (1, 1)) == mono((1, 2))
 
     def test_bad_index_rejected(self):
@@ -243,49 +241,130 @@ def merged(a, b):
     return tuple(sorted(exps.items()))
 
 
-class TestInterning:
-    # _MONO_MUL_CACHE is a table of rows, _MONO_MUL_CACHE[id(a)][id(b)] = a * b,
-    # keyed by the id() of each factor.  An id is reused once its object is
-    # freed, so every monomial that a polynomial stores, and every factor and
-    # product in the table, must be the interned object, which the intern
-    # table keeps alive.
+def reference_key(pairs):
+    """The printed order of a monomial given as (j, e) pairs: by weight,
+    then by the dense exponent vector c1, c2, ... padded to the weight."""
+    weight = sum(j * e for j, e in pairs)
+    dense = [0] * weight
+    for j, e in pairs:
+        dense[j - 1] = e
+    return (weight, tuple(dense))
 
-    @given(coeff_polys, coeff_polys, rationals, var_indices, st.integers(0, 3))
+
+def reference_terms(products):
+    """{pairs: coefficient} of a sum of (pairs, coefficient) products, in the
+    order each monomial first appears, with zero sums dropped."""
+    out: dict = {}
+    for pairs, q in products:
+        out[pairs] = out.get(pairs, 0) + q
+    return {pairs: q for pairs, q in out.items() if q}
+
+
+def quotient(pairs, j):
+    """The pairs of m / c_j, for a monomial m holding c_j."""
+    return tuple((i, e - (i == j)) for i, e in pairs if (i, e) != (j, 1))
+
+
+class TestPackedMonomials:
+    """Each operation, read back through ``mono_pairs``, is the tuple
+    arithmetic on (j, e) pairs, term for term and in the same term order,
+    and the printed forms follow the reference key."""
+
+    @staticmethod
+    def derivation_terms(D, a):
+        # Every factor c_j^e of each term q m adds q e (m / c_j) v_j.
+        return reference_terms(
+            (merged(quotient(mono_pairs(m), j), mono_pairs(m2)), q * e * q2)
+            for m, q in a.terms.items() for j, e in mono_pairs(m)
+            for m2, q2 in D.coefficient(j).terms.items())
+
+    @given(coeff_polys, coeff_polys, var_indices)
     @settings(max_examples=100)
-    def test_results_store_interned_monomials(self, a, b, q, j, k):
+    def test_operations_match_tuple_reference(self, a, b, j):
+        products = reference_terms(
+            (merged(mono_pairs(m1), mono_pairs(m2)), q1 * q2)
+            for m1, q1 in a.terms.items() for m2, q2 in b.terms.items())
+        partial = reference_terms(
+            (quotient(mono_pairs(m), j), q * dict(mono_pairs(m))[j])
+            for m, q in a.terms.items() if j in dict(mono_pairs(m)))
+        for got, want in [(a * b, products), (a.partial(j), partial),
+                          (make_L(j).apply_poly(a), self.derivation_terms(make_L(j), a)),
+                          (partial_derivation(j).apply_poly(a),
+                           self.derivation_terms(partial_derivation(j), a))]:
+            assert [(mono_pairs(m), q) for m, q in got.terms.items()] == list(want.items())
+            self.assert_printed_in_reference_order(got)
+
+    @staticmethod
+    def assert_printed_in_reference_order(p):
+        want = sorted(((mono_pairs(m), q) for m, q in p.terms.items()),
+                      key=lambda t: reference_key(t[0]))
+        assert [(mono_pairs(m), q) for m, q in p.sorted_terms()] == want
+        assert p.to_json_terms() == [{"coeff": str(q), "exps": {str(j): e for j, e in pairs}}
+                                     for pairs, q in want]
+        assert p.render() == reference_render(want)
+
+
+def reference_render(terms) -> str:
+    """The text of (pairs, coefficient) terms, in the order given."""
+    parts = []
+    for pairs, q in terms:
+        body = "*".join(f"c{j}" if e == 1 else f"c{j}^{e}" for j, e in pairs)
+        aq = abs(q)
+        parts.append(("-" if q < 0 else "+",
+                      str(aq) if not pairs else body if aq == 1 else f"{aq}*{body}"))
+    if not parts:
+        return "0"
+    text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+    return text + "".join(f" {sign} {body}" for sign, body in parts[1:])
+
+
+class TestExponentCap:
+    """An index or an exponent is at most 127: past it, a product raises,
+    and no exponent ever carries into the next variable's field."""
+
+    def test_largest_exponent_fits(self):
+        top = CoeffPoly.var(1, 127)
+        assert CoeffPoly.var(1, 100) * CoeffPoly.var(1, 27) == top
+        assert top.to_json_terms() == [{"coeff": "1", "exps": {"1": 127}}]
+        assert top.partial(1) == CoeffPoly.var(1, 126) * 127
+        assert c(127).variables() == (127,) and c(127).max_variable() == 127
+        assert top.partial(128) == top.partial(10 ** 9) == CoeffPoly.zero()
+
+    @pytest.mark.parametrize("j", [1, 2, 126, 127])
+    def test_product_past_the_cap_raises(self, j):
+        for a, b in [(CoeffPoly.var(j, 127), c(j)), (CoeffPoly.var(j, 64), CoeffPoly.var(j, 64))]:
+            with pytest.raises(OverflowError, match="past the cap"):
+                a * b
+            with pytest.raises(OverflowError):
+                a ** 2
+
+    def test_derivation_past_the_cap_raises(self):
+        # L_1 c2 = 2 c1, so L_1 (c1^127 c2) holds 2 c1^128.
+        with pytest.raises(OverflowError):
+            make_L(1).apply_poly(CoeffPoly.var(1, 127) * c2)
+
+    def test_guard_is_checked_once_per_output_term(self):
+        # The product kernel only adds; poly_from_bucket refuses the term.
         bucket: dict = {}
-        accumulate_product(bucket, a, b)
-        results = [a + b, a - b, a * q, a * b, a ** k, a.partial(j),
-                   *a.weight_components().values(), poly_from_bucket(bucket),
-                   poly_div_int(a, 3), CoeffPoly.from_json_terms(a.to_json_terms()),
-                   make_L(j).apply_poly(a), make_L(0).apply_poly(a),
-                   partial_derivation(j).apply_poly(a)]
-        for p in results:
-            assert all(_MONO_INTERN[m] is m for m in p.terms), p
+        accumulate_product(bucket, CoeffPoly.var(1, 127), c1 + c2)
+        with pytest.raises(OverflowError, match="c1\\^128"):
+            poly_from_bucket(bucket)
 
-    def test_no_row_is_empty(self, capsys):
-        # A row is made by the first product stored in it: a left factor met
-        # only with the constant monomial has none.
-        clear_caches()
-        assert main(["check", "--suite", "all", "--order", "2"]) == 0
-        capsys.readouterr()
-        assert _MONO_MUL_CACHE and all(_MONO_MUL_CACHE.values())
+    @pytest.mark.parametrize("pairs", [((1, 128),), ((1, 100), (1, 28)), ((2, 255),),
+                                       ((128, 1),)])
+    def test_mono_past_the_cap_raises(self, pairs):
+        with pytest.raises(ValueError, match="past the cap"):
+            mono(*pairs)
 
-    def test_product_rows_key_interned_monomials(self):
-        @given(coeff_polys, coeff_polys, var_indices)
-        @settings(max_examples=100)
-        def products(a, b, j):
-            bucket: dict = {}
-            accumulate_product(bucket, a, b)
-            a * b
-            make_L(j).apply_poly(a * b)
+    @pytest.mark.parametrize("j, e", [(1, 128), (2, 255), (3, 256), (128, 1)])
+    def test_var_and_json_past_the_cap_raise(self, j, e):
+        with pytest.raises(ValueError, match="past the cap"):
+            CoeffPoly.var(j, e)
+        with pytest.raises(ValueError, match="past the cap"):
+            CoeffPoly.from_json_terms([{"coeff": "1", "exps": {str(j): e}}])
 
-        products()
-        interned = {id(m): m for m in _MONO_INTERN.values()}
-        assert _MONO_MUL_CACHE
-        for ia, row in _MONO_MUL_CACHE.items():
-            a = interned[ia]
-            for ib, m in row.items():
-                b = interned[ib]
-                assert interned.get(id(m)) is m, (a, b, m)
-                assert m == merged(a, b), (a, b, m)
+    @pytest.mark.parametrize("m", [1 << 7, 1 << 8 * 127, -1])
+    def test_constructor_refuses_what_is_no_monomial(self, m):
+        # 1 << 7 is c1^128: it sets the guard bit of c1's field.
+        with pytest.raises(ValueError, match="not a monomial"):
+            CoeffPoly({m: 1})

@@ -13,6 +13,7 @@ sp = pytest.importorskip("sympy")
 
 import faberfields as ff
 from faberfields.kirillov import inverse_deriv_coeffs
+from faberfields.polyring import mono_pairs
 
 N = 5
 NG = 4  # the Grunsky oracle's table size; beta_{n,k} reads c_1 .. c_{n+k}
@@ -24,7 +25,7 @@ def to_sympy(p):
     total = 0
     for m, q in p.terms.items():
         term = sp.Rational(q.numerator, q.denominator)
-        for j, e in m:
+        for j, e in mono_pairs(m):
             term *= CS[j - 1] ** e
         total += term
     return sp.expand(total)
