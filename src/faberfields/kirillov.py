@@ -69,38 +69,28 @@ class Derivation:
     def apply_poly(self, target: CoeffPoly) -> CoeffPoly:
         """sum_j v_j d(target)/dc_j, in one pass over the target's terms.
 
-        Each term q m adds q e (m / c_j) v_j for every factor c_j^e of m, as
-        raw numerator/denominator pairs into one bucket that is normalized
-        once; a product of monomials is their sum, as in
-        ``polyring.accumulate_product``.  Every entry is fetched first, in
-        index order, so a too-short A-table raises before any work.
+        Each term q m adds q e (m / c_j) v_j for every factor c_j^e of m into
+        one bucket, Monomial -> coefficient, read by ``poly_from_bucket`` as
+        in ``polyring.accumulate_product``; a product of monomials is their
+        sum.  Every entry is fetched first, in index order, so a too-short
+        A-table raises before any work.
         """
         entries = {}
         for j in target.variables():
             v = self.coefficient(j)
             if v:
-                entries[j] = [(m, q.numerator, q.denominator) for m, q in v.terms.items()]
+                entries[j] = list(v.terms.items())
         bucket: dict = {}
-        bucket_get = bucket.get
+        get = bucket.get
         for m1, q1 in target.terms.items():
-            n1, d1 = q1.numerator, q1.denominator
             for j, e, mj in mono_quotients(m1):
                 vt = entries.get(j)
                 if vt is None:
                     continue
-                ne = n1 * e
-                for m2, n2, d2 in vt:
+                qe = q1 * e
+                for m2, q2 in vt:
                     m = mj + m2
-                    n = ne * n2
-                    d = d1 * d2
-                    cur = bucket_get(m)
-                    if cur is None:
-                        bucket[m] = [n, d]
-                    elif cur[1] == d:
-                        cur[0] += n
-                    else:
-                        cur[0] = cur[0] * d + n * cur[1]
-                        cur[1] *= d
+                    bucket[m] = get(m, 0) + qe * q2
         return poly_from_bucket(bucket)
 
     def apply(self, target):

@@ -24,8 +24,9 @@ they can be shared across threads; ``==`` is an exact identity test.
 Rationals are ``fractions.Fraction`` in lowest terms; whole values are kept
 as plain ``int`` (which compares equal to the matching Fraction) by the
 constructor, ``+``, ``-``, ``*``, ``partial``, ``poly_from_bucket``,
-``poly_div_int`` and ``kirillov.Derivation.apply_poly``.  Products add up
-numerator/denominator pairs in raw integers, normalizing once per output term.
+``poly_div_int`` and ``kirillov.Derivation.apply_poly``.  A product bucket
+maps each monomial to its coefficient; the seed's tables have integer
+coefficients only, so their products run on ``int`` arithmetic.
 """
 
 from __future__ import annotations
@@ -341,7 +342,7 @@ class CoeffPoly:
             return NotImplemented
         if not self._terms or not other._terms:
             return CoeffPoly.zero()
-        acc: dict[Monomial, list] = {}
+        acc: dict = {}
         accumulate_product(acc, self, other)
         return poly_from_bucket(acc)
 
@@ -483,45 +484,36 @@ class CoeffPoly:
 # -- fused product accumulation -----------------------------------------------
 #
 # Product loops over many coefficient pairs (series convolutions, bivariate
-# rows) accumulate raw numerator/denominator integer pairs into a shared
-# bucket and normalize to Fraction once per output monomial; this keeps the
-# hot paths close to integer speed.
+# rows) add each term product into a shared bucket, Monomial -> coefficient,
+# and build the CoeffPoly once.  Python's int and Fraction arithmetic picks
+# the exact path per operation, so integer operands stay at integer speed.
 
 
 def accumulate_product(bucket: dict, a: CoeffPoly, b: CoeffPoly) -> None:
-    """bucket += a * b, where bucket maps Monomial -> [numerator, denominator].
+    """bucket += a * b, where bucket maps Monomial -> coefficient.
 
     A product of monomials is their sum; ``poly_from_bucket`` checks it
     against the cap."""
-    bt = [(m2, q2.numerator, q2.denominator) for m2, q2 in b._terms.items()]
-    bucket_get = bucket.get
+    bt = list(b._terms.items())
+    get = bucket.get
     for m1, q1 in a._terms.items():
-        n1, d1 = q1.numerator, q1.denominator
-        for m2, n2, d2 in bt:
+        for m2, q2 in bt:
             m = m1 + m2
-            n = n1 * n2
-            d = d1 * d2
-            cur = bucket_get(m)
-            if cur is None:
-                bucket[m] = [n, d]
-            elif cur[1] == d:
-                cur[0] += n
-            else:
-                cur[0] = cur[0] * d + n * cur[1]
-                cur[1] *= d
+            bucket[m] = get(m, 0) + q1 * q2
 
 
 def poly_from_bucket(bucket: dict) -> CoeffPoly:
-    """Normalize an accumulation bucket into a canonical CoeffPoly.
+    """The CoeffPoly of an accumulation bucket: zero sums dropped, whole
+    Fractions stored as ints.
 
     Raises OverflowError for a monomial with an exponent past the cap, which
     a product of two stored monomials marks in the guard bit of its field."""
     out = {}
-    for m, (n, d) in bucket.items():
+    for m, q in bucket.items():
         if m & _GUARD:
             raise OverflowError(f"{mono_render(m)} has an exponent past the cap {_CAP}")
-        if n:
-            out[m] = n if d == 1 else _whole(Fraction(n, d))
+        if q:
+            out[m] = _whole(q)
     res = CoeffPoly.__new__(CoeffPoly)
     res._terms = out
     return res
@@ -530,18 +522,18 @@ def poly_from_bucket(bucket: dict) -> CoeffPoly:
 def poly_div_int(a: CoeffPoly, n: int, exact: bool = False) -> CoeffPoly:
     """a / n for a nonzero integer n; whole quotients are kept as ints.
 
-    With ``exact`` the division is asserted to leave no remainder, i.e. every
-    coefficient of ``a`` is an integer multiple of n.
+    With ``exact`` every coefficient of ``a`` must be an integer multiple of
+    n; ArithmeticError is raised otherwise.
     """
     out = {}
     for m, q in a._terms.items():
         if exact:
             d, r = divmod(q, n)
-            assert not r, f"{q} is not divisible by {n}"
+            if r:
+                raise ArithmeticError(f"{q} is not divisible by {n}")
             out[m] = d
         else:
-            d = Fraction(q, n)
-            out[m] = d.numerator if d.denominator == 1 else d
+            out[m] = _whole(Fraction(q, n))
     res = CoeffPoly.__new__(CoeffPoly)
     res._terms = out
     return res

@@ -200,3 +200,31 @@ def test_detects_a_layout_use():
     assert layout_uses(source) == [
         "line 1: _CAP", "line 2: LShift", "line 3: BitAnd", "line 3: RShift",
         "line 6: to_bytes"]
+
+
+#: The modules that may read a coefficient's numerator or denominator:
+#: polyring owns the coefficient format, and ``series.unit_pow`` tests its
+#: tail for integrality.
+RATIONAL_READERS = {"polyring.py", "series.py"}
+
+
+def rational_reads(source: str) -> list[str]:
+    """The lines of a source that read ``.numerator`` or ``.denominator``."""
+    return sorted(f"line {node.lineno}: {node.attr}" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("numerator", "denominator"))
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name not in RATIONAL_READERS],
+                         ids=lambda p: p.name)
+def test_coefficient_format_stays_in_polyring(path):
+    assert rational_reads(path.read_text()) == []
+
+
+def test_detects_a_rational_read():
+    source = ('"""A docstring may say numerator and denominator."""\n'
+              "n, d = q.numerator, q.denominator\n"
+              "numerator = 1\n"
+              "whole = p.terms[m].denominator == 1\n")
+    assert rational_reads(source) == [
+        "line 2: denominator", "line 2: numerator", "line 4: denominator"]

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import chain
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -213,7 +218,8 @@ class TestWholeValues:
     @given(coeff_polys, coeff_polys, rationals, var_indices)
     def test_ring_operations_keep_whole_values_int(self, a, b, q, j):
         for p in (a, b, a + b, a - b, a * b, a * q, a * int(q * 6), a.partial(j),
-                  poly_div_int(a, 3), -a):
+                  poly_div_int(a, 3), -a, make_L(j).apply_poly(a),
+                  partial_derivation(j).apply_poly(a)):
             assert not whole_fractions(p), p
 
 
@@ -229,8 +235,18 @@ class TestDivInt:
         assert type(got.terms[mono((2, 1))]) is int
 
     def test_exact_division_asserts(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ArithmeticError, match="3 is not divisible by 2"):
             poly_div_int(c1 * 3, 2, exact=True)
+
+    def test_exact_division_raises_under_optimize(self):
+        # python -O strips assert statements; the check must not be one.
+        code = ("from faberfields.polyring import c, poly_div_int\n"
+                "try:\n    print(poly_div_int(c(1) * 3, 2, exact=True))\n"
+                "except ArithmeticError as exc:\n    print(type(exc).__name__, exc)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True, timeout=60).stdout
+        assert out == "ArithmeticError 3 is not divisible by 2\n"
 
 
 def merged(a, b):
@@ -260,6 +276,12 @@ def reference_terms(products):
     return {pairs: q for pairs, q in out.items() if q}
 
 
+def product_pairs(a, b):
+    """The (pairs, coefficient) term products of a * b, a's terms outer."""
+    return ((merged(mono_pairs(m1), mono_pairs(m2)), q1 * q2)
+            for m1, q1 in a.terms.items() for m2, q2 in b.terms.items())
+
+
 def quotient(pairs, j):
     """The pairs of m / c_j, for a monomial m holding c_j."""
     return tuple((i, e - (i == j)) for i, e in pairs if (i, e) != (j, 1))
@@ -281,13 +303,18 @@ class TestPackedMonomials:
     @given(coeff_polys, coeff_polys, var_indices)
     @settings(max_examples=100)
     def test_operations_match_tuple_reference(self, a, b, j):
-        products = reference_terms(
-            (merged(mono_pairs(m1), mono_pairs(m2)), q1 * q2)
-            for m1, q1 in a.terms.items() for m2, q2 in b.terms.items())
+        products = reference_terms(product_pairs(a, b))
+        # One bucket shared by two products whose terms collide and partly
+        # cancel, with rational coefficients of mixed denominators.
+        bucket: dict = {}
+        accumulate_product(bucket, a, b)
+        accumulate_product(bucket, b, b - a)
+        shared = reference_terms(chain(product_pairs(a, b), product_pairs(b, b - a)))
         partial = reference_terms(
             (quotient(mono_pairs(m), j), q * dict(mono_pairs(m))[j])
             for m, q in a.terms.items() if j in dict(mono_pairs(m)))
-        for got, want in [(a * b, products), (a.partial(j), partial),
+        for got, want in [(a * b, products), (poly_from_bucket(bucket), shared),
+                          (a.partial(j), partial),
                           (make_L(j).apply_poly(a), self.derivation_terms(make_L(j), a)),
                           (partial_derivation(j).apply_poly(a),
                            self.derivation_terms(partial_derivation(j), a))]:
