@@ -25,9 +25,12 @@ and a_p^p = B_0^p.  Every table builder, here and in ``kirillov`` and
 Every power of the seed, of either sign, comes from one kernel, Miller's
 recurrence on f/z (``series.unit_pow``), called only by ``_f_power``: each
 f^e, and r = z/f = z f^-1 and S = f'^2 z^2 f^-2, so no builder here takes a
-reciprocal or a product power of a series.  Lambda_p(f) + z^(1-p) f' and
-F_n(1/f) are each one ``series.scaled_sum`` of those powers, accumulated
-coefficient by coefficient only through the highest power of z that is read.
+reciprocal or a product power of a series.  F_n(1/f) is one
+``series.scaled_sum`` of those powers, and the series E_p = Lambda_p(f) +
+z^(1-p) f' are summed into their buckets one power at a time
+(``_elimination_family``), so no two powers are held together; each sum is
+accumulated coefficient by coefficient only through the highest power of z
+that is read.
 Every seed power (``_f_power(e, top)``) and the elimination series E_p are
 keyed by that power, not by a seed order: every caller builds exactly what
 it reads, and the series layer raises OrderError on any overreach, so
@@ -61,7 +64,9 @@ from .series import (
     LaurentSeries,
     LaurentWPoly,
     WPoly,
+    add_scaled,
     bi_quotient,
+    bucket_series,
     divided_difference,
     scaled_sum,
     seed_series,
@@ -209,10 +214,16 @@ class GrunskyTable:
 
 @dataclass(frozen=True)
 class AFieldTable:
+    """A_n^p for p <= p_max, n <= n_max, and the diagonal a_1^1 .. a_P^P.
+
+    The intermediates B_k^p = A_k^p + a_p^p c_k, with c_0 = 1, so
+    B_0^p = a_p^p, are formed on read (``B``), for both routes, so the
+    relation is written once and no table holds them.
+    """
     p_max: int
     n_max: int
     a_entries: dict
-    b_entries: dict
+    diag: tuple
     provenance: str = "elimination"
 
     def A(self, p: int, n: int) -> CoeffPoly:
@@ -227,7 +238,7 @@ class AFieldTable:
             raise IndexError(
                 f"B_{k}^{p} not in table (have 1<=p<={self.p_max}, k<={self.n_max})"
             )
-        return self.b_entries[(p, k)]
+        return self.A(p, k) + self.diag[p - 1] * _seed(self.n_max + 1).coefficient(k + 1)
 
 
 # -- Faber and T families -----------------------------------------------------------
@@ -448,17 +459,29 @@ def _elimination_family(P: int, top: int) -> tuple:
     """E_p = z^(1-p) f'(z) + Lambda_p(f(z)) for p = 0..P, each exact through z^top.
 
     The key is the highest power of z the caller reads, and every E_p has
-    ``.order == top``.  Each power f^e, e = 1-P..1, is ``_f_power(e, top)``,
-    known exactly through z^top and no further, and no power costs a dense
-    product of two series.  Each E_p is one ``scaled_sum`` over that shared
-    table, with z^(1-p) f'(z) as one more term.
+    ``.order == top``.  Each power f^e is ``_f_power(e, top)``, known exactly
+    through z^top and no further, and no power costs a dense product of two
+    series.  The powers are taken one at a time, e = 1, 0, .., 1-P, the
+    order in which each Lambda_p lists its entries: f^e is added into the
+    z^m buckets (``series.add_scaled``) of every E_p whose Lambda_p holds
+    u^e, and dropped before the next power is built.  Lambda_p holds no power
+    below u^(1-p), so after f^(1-p) z^(1-p) f'(z) goes into the buckets of
+    E_p last, and each bucket is popped as it becomes its coefficient.
     """
     fprime = _seed(max(top + P, 1)).derivative()
-    lams = lambda_direct(P)
-    pows = {e: _f_power(e, top) for e in range(1 - P, 2)}
-    return tuple(scaled_sum([(pows[e], ce) for e, ce in lams.poly(p).entries.items()]
-                            + [(fprime.shift(1 - p), CoeffPoly.one())], top)
-                 for p in range(P + 1))
+    lams = lambda_direct(P).entries
+    buckets = [{} for _ in range(P + 1)]
+    family = []
+    for e in range(1, -P, -1):
+        power = _f_power(e, top)
+        for p in range(1 - e, P + 1):
+            coeff = lams[p].entries.get(e)
+            if coeff:
+                add_scaled(buckets[p], power, coeff, top)
+        del power  # so that no two powers are alive together
+        add_scaled(buckets[1 - e], fprime.shift(e), CoeffPoly.one(), top)
+        family.append(bucket_series(buckets[1 - e], top))
+    return tuple(family)
 
 
 @lru_cache(maxsize=None)
@@ -481,12 +504,8 @@ def a_field_direct(P: int, N: int) -> AFieldTable:
         a_entries[(p, 0)] = CoeffPoly.zero()
         for n in range(1, N + 1):
             a_entries[(p, n)] = e.coefficient(n + 1)
-    diag = diag_a(P) if P >= 1 else None
-    f = _seed(N + 1)
-    # B_k^p = A_k^p + a_p^p c_k, with c_0 = 1, so B_0^p = a_p^p.
-    b_entries = {(p, k): a_entries[(p, k)] + diag.poly(p) * f.coefficient(k + 1)
-                 for p in range(1, P + 1) for k in range(N + 1)}
-    return AFieldTable(P, N, a_entries, b_entries, provenance="elimination")
+    diag = diag_a(P).entries if P >= 1 else ()
+    return AFieldTable(P, N, a_entries, diag, provenance="elimination")
 
 
 def a_field_grunsky(P: int, N: int) -> AFieldTable:
@@ -500,14 +519,13 @@ def a_field_grunsky(P: int, N: int) -> AFieldTable:
     if P < 0 or N < 1:
         raise ValueError("need P >= 0 and N >= 1")
     table = grunsky_log(P - 1, N + 1) if P >= 2 else None
+    diag = diag_a_grunsky(P).entries if P >= 1 else ()
     f = _seed(N + 1)
     a_entries = {(0, n): f.coefficient(n + 1) * n for n in range(N + 1)}
-    b_entries = {}
     for p in range(1, P + 1):
         for k in range(N + 1):
-            b_entries[(p, k)] = _grunsky_b(table, p, k)
-            a_entries[(p, k)] = b_entries[(p, k)] - b_entries[(p, 0)] * f.coefficient(k + 1)
-    return AFieldTable(P, N, a_entries, b_entries, provenance="grunsky-combination")
+            a_entries[(p, k)] = _grunsky_b(table, p, k) - diag[p - 1] * f.coefficient(k + 1)
+    return AFieldTable(P, N, a_entries, diag, provenance="grunsky-combination")
 
 
 # -- identity checks ----------------------------------------------------------------

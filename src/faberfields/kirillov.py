@@ -29,7 +29,7 @@ from typing import Callable
 
 from .faberkernel import (AFieldTable, LambdaFamily, _elimination_family, _seed, a_field_direct,
                           lambda_direct)
-from .polyring import CoeffPoly, mono_quotients, poly_from_bucket
+from .polyring import CoeffPoly, mono_pairs, mono_quotients, poly_from_bucket
 from .reports import CheckReport, IdentityPair, report_from_pairs, series_pairs
 from .series import LaurentSeries, LaurentWPoly, _make, unit_pow
 
@@ -69,12 +69,20 @@ class Derivation:
     def apply_poly(self, target: CoeffPoly) -> CoeffPoly:
         """sum_j v_j d(target)/dc_j, in one pass over the target's terms.
 
-        Each term q m adds q e (m / c_j) v_j for every factor c_j^e of m into
-        one bucket, Monomial -> coefficient, read by ``poly_from_bucket`` as
-        in ``polyring.accumulate_product``; a product of monomials is their
-        sum.  Every entry is fetched first, in index order, so a too-short
-        A-table raises before any work.
+        A one-term linear target q c_j gives the entry v_j itself (q = 1) or
+        v_j q, with no bucket, so L_{-p} c_n is the table's own A_n^p.  Any
+        other target: each term q m adds q e (m / c_j) v_j for every factor
+        c_j^e of m into one bucket, Monomial -> coefficient, read by
+        ``poly_from_bucket`` as in ``polyring.accumulate_product``; a product
+        of monomials is their sum.  Every entry is fetched first, in index
+        order, so a too-short A-table raises before any work.
         """
+        if len(target.terms) == 1:
+            [(m1, q1)] = target.terms.items()
+            factors = mono_pairs(m1)
+            if len(factors) == 1 and factors[0][1] == 1:
+                v = self.coefficient(factors[0][0])
+                return v if q1 == 1 else v * q1
         entries = {}
         for j in target.variables():
             v = self.coefficient(j)
@@ -313,15 +321,19 @@ def sample_polynomials() -> list[CoeffPoly]:
 
 def commutation_pairs(nmax: int, jmax: int):
     """The mixing rule d_n L_j = L_j d_n + (n+1) d_{n+j} on the sample
-    polynomials, for 1 <= n <= nmax and 1 <= j <= jmax."""
+    polynomials, for 1 <= n <= nmax and 1 <= j <= jmax.  Each image L_j s
+    and partial d_m s of a sample s is derived once and read by every pair
+    that needs it."""
     samples = sample_polynomials()
+    ladder = {j: make_L(j) for j in range(1, jmax + 1)}
+    partials = {m: partial_derivation(m) for m in range(1, nmax + jmax + 1)}
+    images = {j: [lj.apply_poly(s) for s in samples] for j, lj in ladder.items()}
+    derived = {m: [dm.apply_poly(s) for s in samples] for m, dm in partials.items()}
     for n in range(1, nmax + 1):
-        dn = partial_derivation(n)
-        for j in range(1, jmax + 1):
-            lj = make_L(j)
-            dnj = partial_derivation(n + j)
-            for idx, target in enumerate(samples):
-                lhs = dn.apply_poly(lj.apply_poly(target))
-                rhs = lj.apply_poly(dn.apply_poly(target)) + dnj.apply_poly(target) * (n + 1)
+        dn = partials[n]
+        for j, lj in ladder.items():
+            for idx in range(len(samples)):
+                lhs = dn.apply_poly(images[j][idx])
+                rhs = lj.apply_poly(derived[n][idx]) + derived[n + j][idx] * (n + 1)
                 yield IdentityPair("commutation", (("n", n), ("j", j), ("sample", idx)),
                                    lhs, rhs)

@@ -5,9 +5,10 @@ need: truncated Laurent series in one formal variable ``z``, finite Laurent
 polynomials in a marker variable ``u`` (``LaurentWPoly``) and their subclass
 of polynomials in ``w`` (``WPoly``), and rectangularly truncated bivariate
 series.  A sum sum c s of series s with coefficients c over a table of seed
-powers, and the sum of a composition, is one :func:`scaled_sum`;
+powers, and the sum of a composition, is accumulated by :func:`add_scaled`,
+one bucket per power of z (:func:`scaled_sum` for a list of terms);
 ``LaurentWPoly.eval_at`` walks the powers of its argument instead and calls
-no :func:`scaled_sum`, so it can check those sums.
+neither, so it can check those sums.
 
 Truncation discipline
 ---------------------
@@ -443,24 +444,36 @@ def ps_log(a: LaurentSeries) -> LaurentSeries:
     return (a.derivative() / a).integrate()
 
 
-def scaled_sum(terms, top) -> LaurentSeries:
-    """sum c s over the (s, c) pairs of ``terms``, through z^top.
+def add_scaled(buckets: dict, series: LaurentSeries, coeff: CoeffPoly, top) -> None:
+    """Add the coefficients s[m] c of series s and coefficient c, m <= top,
+    into ``buckets``, one accumulation bucket per power z^m, so no scaled
+    series is built and nothing past z^top is multiplied.  The series must
+    be known through z^top (else OrderError)."""
+    if series.order < top:
+        raise OrderError(top, series.order)
+    for m, sm in enumerate(series.coeffs, series.valuation):
+        if m > top:
+            break
+        if sm:
+            accumulate_product(buckets.setdefault(m, {}), sm, coeff)
 
-    Each power z^m read is one accumulation bucket, into which every term
-    adds s[m] c, so no scaled series is built and nothing past z^top is
-    multiplied.  Every series summed must be known through z^top (else
-    OrderError); the result has order ``top``.
+
+def bucket_series(buckets: dict, top) -> LaurentSeries:
+    """The series of order ``top`` whose z^m coefficient is bucket m; each
+    bucket is popped as it becomes its coefficient."""
+    return _make({m: poly_from_bucket(buckets.pop(m)) for m in list(buckets)}, top)
+
+
+def scaled_sum(terms, top) -> LaurentSeries:
+    """sum c s over the (s, c) pairs of ``terms``, through z^top: every term
+    is added into one bucket per power z^m (:func:`add_scaled`), in order.
+    Every series summed must be known through z^top (else OrderError); the
+    result has order ``top``.
     """
     buckets: dict[int, dict] = {}
     for series, coeff in terms:
-        if series.order < top:
-            raise OrderError(top, series.order)
-        for m, sm in enumerate(series.coeffs, series.valuation):
-            if m > top:
-                break
-            if sm:
-                accumulate_product(buckets.setdefault(m, {}), sm, coeff)
-    return _make({m: poly_from_bucket(b) for m, b in buckets.items()}, top)
+        add_scaled(buckets, series, coeff, top)
+    return bucket_series(buckets, top)
 
 
 def ps_compose(outer: LaurentSeries, inner: LaurentSeries) -> LaurentSeries:

@@ -159,6 +159,7 @@ class TestCheck:
         (4, "2afb52585a3312654d43dcf8ec38a541f896bdffdffbab357ce7d3c802e16d05"),
         (5, "ddcb97a48ad5acd334b4d6b25dc0020c64f8b35e3a1e9c3eadfb31c4f1482364"),
         (6, "ab3f7f9294eb51758fa8d6b3c8ae5d884fabab6346dfdf070ecbf56c0360fae8"),
+        (8, "a2f9e624722731eb9fa7796646dc9d70bd5dbf667efe35e1b53b259f9eb32354"),
     ])
     def test_all_json_pinned(self, capsys, order, digest):
         # The whole gate output byte for byte: every exact suite's cells,

@@ -1,4 +1,6 @@
+import hashlib
 import sys
+import weakref
 from functools import lru_cache
 
 import pytest
@@ -36,6 +38,7 @@ from faberfields.inversion import _reverse_powers, _reversion, reverse_table
 from faberfields.kirillov import inverse_deriv_coeffs
 from faberfields.polyring import CoeffPoly, c
 from faberfields.series import (
+    LaurentSeries,
     LaurentWPoly,
     WPoly,
     const_series,
@@ -329,7 +332,8 @@ class TestPhi:
         # evaluates Lambda_p at f by walking powers; that side must build
         # with the sum kernel refused.
         rows = _phi_generating_rows(6, 10)
-        refuse_everywhere(monkeypatch, ((series, "scaled_sum"),),
+        refuse_everywhere(monkeypatch, ((series, "scaled_sum"), (series, "add_scaled"),
+                                        (series, "bucket_series")),
                           "phi_p reached the scaled-sum kernel")
         for p, row in enumerate(rows):
             assert phi_p(p, 10) == row, p
@@ -374,6 +378,17 @@ class TestAField:
         a = a_field_direct(5, 5)
         b = a_field_grunsky(5, 5)
         assert all(a.A(p, n) == b.A(p, n) for p in range(6) for n in range(6))
+
+    @pytest.mark.parametrize("route", [a_field_direct, a_field_grunsky])
+    def test_b_is_a_plus_diagonal_times_c(self, route):
+        # B_k^p = A_k^p + a_p^p c_k, with c_0 = 1, is formed on read.
+        table = route(4, 6)
+        diag = diag_a(4)
+        for p in range(1, 5):
+            assert table.B(p, 0) == diag.poly(p)
+            for k in range(7):
+                ck = c(k) if k else one
+                assert table.B(p, k) == table.A(p, k) + diag.poly(p) * ck, (p, k)
 
 
 class TestElimination:
@@ -426,6 +441,54 @@ class TestSeedPowers:
                 want = want + pows[e].truncate(top).scale(coeff)
             assert got.order == top, p
             assert got == want.truncate(top), p
+
+
+class _WeakSeries(LaurentSeries):
+    """A LaurentSeries that a weak reference can follow."""
+
+
+class TestEliminationFamily:
+    """The family takes the seed powers one at a time, in the order in which
+    each Lambda_p lists its entries."""
+
+    def test_one_seed_power_alive_at_a_time(self, monkeypatch):
+        P, top = 5, 12
+        want = _elimination_family(P, top)
+        built = []
+        real = faberkernel._f_power
+
+        def tracked(e, top):
+            assert all(ref() is None for ref in built), f"f^{e} built while a power is held"
+            power = real(e, top)
+            held = object.__new__(_WeakSeries)
+            held.valuation, held.order, held.coeffs = power.valuation, power.order, power.coeffs
+            built.append(weakref.ref(held))
+            return held
+
+        monkeypatch.setattr(faberkernel, "_f_power", tracked)
+        assert _elimination_family.__wrapped__(P, top) == want
+        assert len(built) == P + 1
+        assert all(ref() is None for ref in built)
+
+    #: sha256 of the terms of every E_p coefficient, in order, as the builder
+    #: that summed each E_p in one ``scaled_sum`` over all powers gave them.
+    @pytest.mark.parametrize("P, top, digest", [
+        (0, 0, "35240b4eed6e801f1185d9d28bc60bd7854f1dac8881efd99adb9bd9a95e2c56"),
+        (0, 3, "9e201bc88f03e053dcdeacd53f99ba7800793e8c55f71692e5f39e4ded1beaf2"),
+        (1, 1, "859acb1725dc3b276fa75421a3dc4fdc4509394c6bea83ef97ad69ffcd7fef58"),
+        (2, -1, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+        (2, 6, "d00c63f3bcd3819d3d82d6a65c9910cc866b459eb1f9c5bb9ad7886c0febc530"),
+        (3, 1, "f969a1797581023f315438ea6c6225008d5aa2f0a32499119880d9ad41b0d070"),
+        (5, 12, "f96c7e93cb40612d68707b5507946575a5811587620dca9cf3ddae74a1a40c49"),
+        (5, 20, "2eaea49c5c35deaafc9ce4ec1ac575f20bdfe9b863f2f1e254a56235bd7c8ff1"),
+        (8, 26, "f8b6548fa85ae6b70e1d9c0504613f14382f5178b838b6a10a81e3533bb67287"),
+    ])
+    def test_term_order_pinned(self, P, top, digest):
+        family = _elimination_family(P, top)
+        assert [e.order for e in family] == [top] * (P + 1)
+        items = [(p, m, list(e.coefficient(m).terms.items()))
+                 for p, e in enumerate(family) for m in range(e.valuation, top + 1)]
+        assert hashlib.sha256(repr(items).encode()).hexdigest() == digest
 
 
 class TestOneKernel:

@@ -190,6 +190,36 @@ class TestCommutation:
     def test_all_pairs(self):
         assert suite_report("commutation", commutation_pairs(4, 4)).passed
 
+    def test_pairs_match_deriving_each_pair_afresh(self):
+        samples = sample_polynomials()
+        want = []
+        for n in range(1, 5):
+            for j in range(1, 5):
+                dn, lj, dnj = partial_derivation(n), make_L(j), partial_derivation(n + j)
+                for idx, s in enumerate(samples):
+                    lhs = dn.apply_poly(lj.apply_poly(s))
+                    rhs = lj.apply_poly(dn.apply_poly(s)) + dnj.apply_poly(s) * (n + 1)
+                    want.append(((("n", n), ("j", j), ("sample", idx)),
+                                 list(lhs.terms.items()), list(rhs.terms.items())))
+        got = [(pair.indices, list(pair.lhs.terms.items()), list(pair.rhs.terms.items()))
+               for pair in commutation_pairs(4, 4)]
+        assert got == want
+
+    def test_each_sample_image_derived_once(self, monkeypatch):
+        samples = sample_polynomials()
+        derived = Counter()
+        real = kirillov.Derivation.apply_poly
+
+        def counted(op, target):
+            derived.update((op.descriptor, idx) for idx, s in enumerate(samples) if s is target)
+            return real(op, target)
+
+        monkeypatch.setattr(kirillov, "sample_polynomials", lambda: samples)
+        monkeypatch.setattr(kirillov.Derivation, "apply_poly", counted)
+        assert suite_report("commutation", commutation_pairs(4, 4)).passed
+        assert len(derived) == 4 * 20 + 8 * 20
+        assert set(derived.values()) == {1}
+
     def test_target_without_low_variables(self):
         pairs = [pair for pair in commutation_pairs(3, 4)
                  if dict(pair.indices)["n"] == 3 and dict(pair.indices)["j"] == 4]
@@ -256,12 +286,41 @@ class TestDerivationKernel:
         assert str(new.value) == str(old.value)
         assert "c5 requested" in str(new.value)
 
+    def test_linear_target_gives_the_entry(self):
+        # L_{-p} c_n is the table's own A_n^p, and L_{-p} f holds them all.
+        table = a_field_direct(3, 6)
+        for p in range(1, 4):
+            op = make_L(-p, table)
+            image = op.apply(seed_series(7))
+            for n in range(1, 7):
+                assert op.apply_poly(c(n)) is table.A(p, n)
+                assert image.coefficient(n + 1) is table.A(p, n)
+
+    @pytest.mark.parametrize("q", [3, -1, Fraction(3, 2)])
+    def test_scaled_linear_target(self, q):
+        for op in _kernel_ops():
+            for n in range(1, 7):
+                target = c(n) * q
+                got = op.apply_poly(target)
+                assert got == partial_sum_apply(op, target), (op, n)
+                assert not whole_fractions(got), (op, n)
+
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_short_table_error_text_on_linear_target(self, q):
+        op = make_L(-1, a_field_direct(1, 2))
+        with pytest.raises(IndexError) as new:
+            op.apply_poly(c(5) * q)
+        with pytest.raises(IndexError) as old:
+            partial_sum_apply(op, c(5) * q)
+        assert str(new.value) == str(old.value)
+
 
 class TestWholeValues:
     def test_tables(self):
         polys = list(grunsky_log(6, 6).entries.values())
         grunsky = a_field_grunsky(4, 6)
-        polys += list(grunsky.a_entries.values()) + list(grunsky.b_entries.values())
+        polys += list(grunsky.a_entries.values())
+        polys += [grunsky.B(p, k) for p in range(1, 5) for k in range(7)]
         for lam in lambda_direct(8).entries:
             polys += list(lam.entries.values())
         assert polys
