@@ -34,7 +34,7 @@ def _check_bounds(**indices: int):
     for name, value in indices.items():
         if value is None:
             continue
-        if value > DESK_SCALE_BOUND:
+        if (abs(value) if name == "q" else value) > DESK_SCALE_BOUND:  # --q is signed
             raise UsageError(
                 f"--{name} {value} exceeds the desk-scale bound "
                 f"({DESK_SCALE_BOUND}); build larger tables through the Python API")
@@ -199,7 +199,7 @@ def _cmd_table(args):
 
 
 def _cmd_reverse(args):
-    _check_bounds(q=abs(args.q), order=args.order)
+    _check_bounds(q=args.q, order=args.order)
     ser = inversion.reverse_table(args.q, args.q, args.order).power(args.q)
     values = _seed_values(_numeric_seed(args), ser.coeffs)
     if args.format == "json":

@@ -194,6 +194,8 @@ def check_negative_action(p: int, N: int) -> CheckReport:
     """negative_action_pairs for the single index p, through z^N."""
     if p < 1:
         raise ValueError("need p >= 1")
+    if N < 1:
+        raise ValueError("need N >= 1")
     return report_from_pairs("negative-action", negative_action_pairs(p, N, p),
                              ("p", "N"))
 

@@ -20,12 +20,12 @@ Two independent oracles:
 Each oracle computes its shared quantities once.  The contour makes one pass
 over its 2M nodes for all p of a run: each node's xi, s(xi) and f(xi) - f(z)
 feed every p's 2M-node sum, and the even nodes, which are the M-node grid,
-also feed its M-node sum.  The sweep numbers the monomials of all pairs once
-(``polyring.MonoPlan``) and only fills the plan's value table at each draw.
-A pair whose two sides are one polynomial term for term cannot fail at any
-draw, so it takes no slot in the plan: at order 5 the plan holds 4,616 term
-slots, where both sides of every pair would hold 48,892.  Everything here is
-pure.
+also feed its M-node sum.  The sweep evaluates the sides of all pairs in one
+``polyring.specialize_all`` call per draw, which computes each distinct
+monomial's value once.  A pair whose two sides are one polynomial term for
+term cannot fail at any draw, so neither side is evaluated: at order 5 the
+sweep's sides hold 4,616 terms over 193 distinct monomials, where both sides
+of every pair would hold 48,892 terms.  Everything here is pure.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .faberkernel import lambda_direct
-from .polyring import MonoPlan
+from .polyring import specialize_all
 from .reports import CheckCell, CheckReport, IdentityPair
 
 #: The contour check's bound on |quadrature - symbolic side|, and its bound on
@@ -248,12 +248,12 @@ def numeric_identity_sweep(pairs: Iterable[IdentityPair],
 
     A pair whose sides are the same polynomial term for term
     (``_same_terms``) has lhs - rhs identically zero, so no draw can fail it:
-    it takes no slot in the plan and adds nothing to its cell's test, and a
+    neither side is evaluated, it adds nothing to its cell's test, and a
     cell whose pairs are all such passes.  Both sides of every other pair,
-    equal sides in another term order included, are numbered once with all
-    the others (``polyring.MonoPlan``), and each draw fills the plan's value
-    table once and sums every side from it, which is exactly ``specialize``
-    of each side at that draw.
+    equal sides in another term order included, go into one
+    ``polyring.specialize_all`` call per draw, which gives exactly
+    ``specialize`` of each side at that draw and computes each monomial
+    shared between sides once.
     """
     if draws < 1:
         raise ValueError(f"numeric-sweep: need draws >= 1, got {draws}")
@@ -268,12 +268,11 @@ def numeric_identity_sweep(pairs: Iterable[IdentityPair],
         if not _same_terms(pair.lhs, pair.rhs):
             checked.append((i, len(sides)))
             sides += (pair.lhs, pair.rhs)
-    plan = MonoPlan(sides)
     nmax = max([1, *(side.max_variable() for side in sides)])
     cells: list[CheckCell] = []
     for d in range(draws):
         seed = random_seed(SWEEP_RNG_SEED + d, bound=SWEEP_BOUND, nmax=nmax)
-        values = plan.evaluate(seed.coeff_map(nmax))
+        values = specialize_all(sides, seed.coeff_map(nmax))
         for suite_name in sorted(by_suite):
             detail = ""
             for i, k in by_suite[suite_name]:

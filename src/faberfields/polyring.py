@@ -27,14 +27,18 @@ constructor, ``+``, ``-``, ``*``, ``partial``, ``poly_from_bucket``,
 ``poly_div_int`` and ``kirillov.Derivation.apply_poly``.  A product bucket
 maps each monomial to its coefficient; the seed's tables have integer
 coefficients only, so their products run on ``int`` arithmetic.
+
+:func:`specialize_all` evaluates many polynomials at one coefficient vector,
+computing each distinct monomial's value once per call;
+``CoeffPoly.specialize`` is that call for one polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import count, islice
-from operator import add, mul, or_
+from itertools import count
+from operator import mul, or_
 from typing import Iterable, Mapping
 
 #: A monomial: the packed exponent vector of its c_j, one int.
@@ -113,86 +117,6 @@ def mono_key(m: Monomial):
     vector.  Two vectors of one weight compare as they would padded with
     zeros to that weight, since the last byte of each is nonzero."""
     return (mono_weight(m), _exponents(m))
-
-
-class MonoPlan:
-    """The values of many polynomials at one coefficient vector after another.
-
-    The plan numbers every distinct monomial of the polynomials once: index 0
-    is the constant monomial, then come the single factors ``c_j^e`` in the
-    order the terms first meet them, then the monomials of two, three, ...
-    factors, each after its prefix ``t[:-1]`` in its pairs ``t``
-    (:func:`mono_pairs`).  The value of a monomial is
-    then one product ``vals[prefix] * vals[last factor]``, the left fold of
-    its factors in index order, and each length fills its part of the table
-    in one C-level ``map``.  Each polynomial is kept as its coefficients, and
-    the indices of the monomials of all polynomials as one flat array of
-    machine integers, so no monomial is hashed after the plan is built.
-
-    :meth:`evaluate` fills the table at one vector and sums each polynomial
-    from its first term, in term order.  The constant monomial's value is the
-    integer 1, so an exact coefficient stays exact, and the zero polynomial is
-    ``Fraction(0)``.  Exact values give exact results; float or complex ones
-    give the bits of multiplying each term's factors in index order and
-    summing the terms in order.
-    """
-
-    __slots__ = ("_factors", "_levels", "_coeffs", "_monos")
-
-    def __init__(self, polys: Iterable["CoeffPoly"]):
-        # array is a shared library: imported here, it is mapped only by
-        # processes that evaluate, not by every importer of the ring.
-        from array import array
-
-        polys = list(polys)
-        index: dict = {(): 0}
-        factors: list = []
-        longer: dict[int, dict] = {}
-        pairs: dict = {}
-        for poly in polys:
-            for m in poly.terms:
-                if m in pairs:
-                    continue
-                t = pairs[m] = mono_pairs(m)
-                for f in t:
-                    if (f,) not in index:
-                        index[(f,)] = len(factors) + 1
-                        factors.append(f)
-                for k in range(len(t), 1, -1):
-                    level = longer.setdefault(k, {})
-                    if t[:k] in level:
-                        break
-                    level[t[:k]] = None
-        levels = []
-        for k in sorted(longer):
-            prefixes, lasts = array("I"), array("I")
-            for t in longer[k]:
-                index[t] = len(index)
-                prefixes.append(index[t[:-1]])
-                lasts.append(index[t[-1:]])
-            levels.append((prefixes, lasts))
-        self._factors = factors
-        self._levels = levels
-        self._coeffs = [poly.terms.values() for poly in polys]
-        self._monos = array("I", (index[pairs[m]] for poly in polys for m in poly.terms))
-
-    def evaluate(self, values: Mapping[int, object]) -> list:
-        """[poly at c_j = values[j] for each polynomial of the plan].
-
-        Raises MissingVariableError naming the first absent index, in the
-        order of the polynomials, their terms and each term's factors.
-        """
-        try:
-            vals = [1] + [values[j] ** e for j, e in self._factors]
-        except KeyError:
-            missing = next(j for j, _ in self._factors if j not in values)
-            raise MissingVariableError(missing) from None
-        get = vals.__getitem__
-        for prefixes, lasts in self._levels:
-            vals += map(mul, map(get, prefixes), map(get, lasts))
-        monos = iter(self._monos)
-        return [reduce(add, map(mul, coeffs, map(get, islice(monos, len(coeffs)))))
-                if coeffs else Fraction(0) for coeffs in self._coeffs]
 
 
 def mono_render(m: Monomial) -> str:
@@ -429,7 +353,7 @@ class CoeffPoly:
         return len(_exponents(reduce(or_, self._terms, 0)))
 
     def specialize(self, values: Mapping[int, object]):
-        """Evaluate at c_j = values[j], by a :class:`MonoPlan` of this one
+        """Evaluate at c_j = values[j]: :func:`specialize_all` of this one
         polynomial.
 
         Values may be exact (int, Fraction) for an exact result, or
@@ -437,7 +361,7 @@ class CoeffPoly:
         term product last, so no precision is spent before it is needed.
         Raises MissingVariableError naming the first absent index.
         """
-        return MonoPlan((self,)).evaluate(values)[0]
+        return specialize_all((self,), values)[0]
 
     # -- rendering ----------------------------------------------------------
 
@@ -479,6 +403,38 @@ class CoeffPoly:
             m = mono(*((int(j), int(e)) for j, e in t["exps"].items()))
             terms[m] = terms.get(m, Fraction(0)) + Fraction(t["coeff"])
         return cls(terms)
+
+
+def specialize_all(polys: Iterable[CoeffPoly], values: Mapping[int, object]) -> list:
+    """[poly at c_j = values[j] for each polynomial of ``polys``].
+
+    Each term is ``q * v``, where v, the monomial's value, is the left fold of
+    ``values[j] ** e`` over its factors in index order, and each polynomial
+    sums its terms in term order from the first.  The constant monomial is
+    worth the int 1, so an exact coefficient stays exact, and the zero
+    polynomial is ``Fraction(0)``.  A monomial's value is computed once per
+    call and remembered, so a monomial that many polynomials share reads
+    ``values`` once.  Raises MissingVariableError naming the first absent
+    index, in the order of the polynomials, their terms and each term's
+    factors.
+    """
+    memo: dict = {ONE_MONO: 1}
+    out = []
+    for poly in polys:
+        total = None
+        for m, q in poly._terms.items():
+            v = memo.get(m)
+            if v is None:
+                for j, e in mono_pairs(m):
+                    try:
+                        x = values[j] ** e
+                    except KeyError:
+                        raise MissingVariableError(j) from None
+                    v = x if v is None else v * x
+                memo[m] = v
+            total = q * v if total is None else total + q * v
+        out.append(Fraction(0) if total is None else total)
+    return out
 
 
 # -- fused product accumulation -----------------------------------------------

@@ -372,6 +372,9 @@ class TestUsage:
         (("check", "--suite", "contour", "--z", "0", "--pmax", "2"),
          "z = 0 is a pole of phi_2"),
         (("check", "--suite", "all", "--z", "0"), "z = 0 is a pole of phi_2"),
+        (("reverse", "--q", "-40", "--order", "3"),
+         "--q -40 exceeds the desk-scale bound (32); build larger tables "
+         "through the Python API"),
     ])
     def test_unusable_point_is_an_error(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -17,8 +17,11 @@ from faberfields.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
-SEEDS = ((), ("--seed", "koebe", "--rho", "1/2"))
-KOEBE = SEEDS[1]
+KOEBE = ("--seed", "koebe", "--rho", "1/2")
+# Complex float coefficients: the table verbs print specialized values bit
+# for bit.
+RANDOM = ("--seed", "random", "--rand-seed", "3")
+SEEDS = ((), KOEBE, RANDOM)
 TABLES = (("faber", "--n", "4", "--all"),
           ("tpoly", "--n", "3", "--all"),
           ("lambda", "--p", "3", "--all"),
@@ -35,7 +38,8 @@ GRID = [table + seed + ("--format", fmt)
         for table in TABLES for seed in SEEDS for fmt in ("text", "json")]
 GRID += [ev + KOEBE + ("--format", fmt) for ev in EVALS for fmt in ("text", "json")]
 GRID += [("reverse", "--q", "0", "--order", "3") + KOEBE,
-         ("eval", "--family", "diag", "--index", "3", "--at", "0.3") + KOEBE]
+         ("eval", "--family", "diag", "--index", "3", "--at", "0.3") + KOEBE,
+         ("eval", "--family", "lambda", "--index", "2", "--at", "0.3") + RANDOM]
 
 
 def _record(argv):

@@ -150,6 +150,13 @@ class TestFaberFamily:
         with pytest.raises(IndexError):
             faber_polys(3).poly(4)
 
+    def test_weight_homogeneous(self):
+        # [w^m] F_n has weight n - m.
+        fam = faber_polys(6)
+        for n in range(1, 7):
+            for m, coeff in enumerate(fam.poly(n).coeffs):
+                assert coeff.is_homogeneous(n - m), (n, m)
+
     def test_derivative_identity(self):
         assert suite_report("faber-derivative", faber_derivative_pairs(6)).passed
 
@@ -171,6 +178,13 @@ class TestTFamily:
 
     def test_routes_agree(self):
         assert t_polys(7).entries == t_from_faber(7).entries
+
+    def test_weight_homogeneous(self):
+        # [w^m] T_n has weight n - m.
+        fam = t_polys(6)
+        for n in range(7):
+            for m, coeff in enumerate(fam.poly(n).coeffs):
+                assert coeff.is_homogeneous(n - m), (n, m)
 
 
 class TestDiagonal:
@@ -374,6 +388,12 @@ class TestAField:
             for n in range(1, 6):
                 assert table.A(p, n).is_homogeneous(n + p)
 
+    def test_grunsky_route_weight_homogeneous(self):
+        table = a_field_grunsky(6, 10)
+        for p in range(7):
+            for n in range(11):
+                assert table.A(p, n).is_homogeneous(n + p), (p, n)
+
     def test_routes_agree_small(self):
         a = a_field_direct(5, 5)
         b = a_field_grunsky(5, 5)
@@ -450,6 +470,12 @@ class _WeakSeries(LaurentSeries):
 class TestEliminationFamily:
     """The family takes the seed powers one at a time, in the order in which
     each Lambda_p lists its entries."""
+
+    def test_weight_homogeneous(self):
+        # [z^m] E_p has weight m + p - 1: A_(m-1)^p for m >= 2.
+        for p, e in enumerate(_elimination_family(6, 16)):
+            for m in range(e.valuation, e.order + 1):
+                assert e.coefficient(m).is_homogeneous(m + p - 1), (p, m)
 
     def test_one_seed_power_alive_at_a_time(self, monkeypatch):
         P, top = 5, 12

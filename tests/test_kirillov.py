@@ -156,6 +156,11 @@ class TestLemma41:
         assert bs[1] == c1 * -2
         assert bs[2] == c1 * c1 * 4 - c2 * 3
 
+    def test_inverse_derivative_weights(self):
+        # B_n of 1/f' = 1 + sum B_n z^n has weight n.
+        for n, b in enumerate(inverse_deriv_coeffs(6)):
+            assert b.is_homogeneous(n), n
+
     def test_single_k(self):
         pairs = [pair for pair in lemma41_pairs(2, 8) if dict(pair.indices)["k"] == 2]
         assert suite_report("lemma41", pairs).passed
@@ -230,6 +235,16 @@ class TestCommutation:
 class TestNegativeAction:
     def test_single_index(self):
         assert check_negative_action(2, 12).passed
+
+    @pytest.mark.parametrize("p, N, message", [(0, 4, "need p >= 1"),
+                                               (1, 0, "need N >= 1")])
+    def test_bad_size_raises_before_any_build(self, monkeypatch, p, N, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a pair was built before the sizes were read")
+
+        monkeypatch.setattr(kirillov, "negative_action_pairs", unreachable)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_negative_action(p, N)
 
     def test_printed_displays(self):
         # L_{-1} f = f' - 1 - 2 c1 f and the p = 2, 3 lines, through z^8.

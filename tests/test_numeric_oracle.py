@@ -1,3 +1,5 @@
+from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,13 @@ from faberfields.numeric_oracle import (
     random_seed,
     zero_seed,
 )
-from faberfields.polyring import CoeffPoly, MissingVariableError, MonoPlan, c
+from faberfields.polyring import (
+    CoeffPoly,
+    MissingVariableError,
+    c,
+    mono_pairs,
+    specialize_all,
+)
 from faberfields.reports import IdentityPair
 from faberfields.series import seed_series
 from faberfields import suites
@@ -30,20 +38,35 @@ exact_values4 = st.lists(rationals, min_size=4, max_size=4)
 
 
 def recorded_plans(monkeypatch) -> list:
-    """The sides of each plan the sweep builds, in order, as a list filled
-    while the test runs."""
+    """The sides the sweep hands to each ``specialize_all`` call (its plan
+    for that draw), in order, as a list filled while the test runs."""
     plans = []
 
-    class Recorded(MonoPlan):
-        __slots__ = ()
+    def recorded(polys, values):
+        polys = list(polys)
+        plans.append(polys)
+        return specialize_all(polys, values)
 
-        def __init__(self, polys):
-            polys = list(polys)
-            plans.append(polys)
-            super().__init__(polys)
-
-    monkeypatch.setattr(numeric_oracle, "MonoPlan", Recorded)
+    monkeypatch.setattr(numeric_oracle, "specialize_all", recorded)
     return plans
+
+
+class CountingValues(Mapping):
+    """A coefficient vector that counts the reads of each c_j."""
+
+    def __init__(self, values):
+        self.values = values
+        self.reads = Counter()
+
+    def __getitem__(self, j):
+        self.reads[j] += 1
+        return self.values[j]
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def __len__(self):
+        return len(self.values)
 
 
 def _bits(z: complex):
@@ -218,11 +241,11 @@ class TestSweep:
 
     @given(st.lists(sweep_polys, min_size=1, max_size=4), values4)
     @settings(max_examples=200, deadline=None)
-    def test_table_matches_specialize_bit_for_bit(self, polys, values):
-        # One plan over all polynomials, as the sweep builds it; zero,
+    def test_specialize_all_matches_specialize_bit_for_bit(self, polys, values):
+        # One call over all polynomials, as the sweep makes it; zero,
         # constant-only, Fraction-coefficient and random ones.
         vals = dict(enumerate(values, 1))
-        for poly, got in zip(polys, MonoPlan(polys).evaluate(vals)):
+        for poly, got in zip(polys, specialize_all(polys, vals)):
             got = _bits(complex(got))
             assert got == _bits(complex(poly.specialize(vals)))
             assert got == _bits(complex(termwise_specialize(poly, vals)))
@@ -231,7 +254,7 @@ class TestSweep:
            st.one_of(values4, exact_values4),
            st.sets(st.integers(min_value=1, max_value=4)))
     @settings(max_examples=300, deadline=None)
-    def test_plan_matches_termwise_specialize(self, polys, values, absent):
+    def test_specialize_all_matches_termwise_specialize(self, polys, values, absent):
         # Exact values give the same exact value and type, complex ones the
         # same bits; a missing c_j names the first index termwise meets.
         vals = {j: v for j, v in enumerate(values, 1) if j not in absent}
@@ -239,40 +262,42 @@ class TestSweep:
             want = [termwise_specialize(poly, vals) for poly in polys]
         except MissingVariableError as exc:
             with pytest.raises(MissingVariableError) as got:
-                MonoPlan(polys).evaluate(vals)
+                specialize_all(polys, vals)
             assert got.value.index == exc.index
             return
-        got = MonoPlan(polys).evaluate(vals)
+        got = specialize_all(polys, vals)
         assert [type(v) for v in got] == [type(v) for v in want]
         if all(isinstance(v, complex) for v in values):
             assert [_bits(complex(v)) for v in got] == [_bits(complex(v)) for v in want]
         else:
             assert got == want
 
-    def test_one_plan_per_sweep(self, monkeypatch):
-        plans, fills = [], []
+    def test_each_monomial_is_valued_once_per_call(self):
+        # Monomials shared between polynomials, and within one, are valued
+        # once a call: each distinct monomial reads each of its factors once.
+        a = c(1) * c(2) + c(3) * Fraction(2, 3) + c(1) ** 2
+        polys = [a, a * 5 + c(2) ** 3, CoeffPoly.zero(), c(1) * c(2) * c(3) + 7, a]
+        values = CountingValues({1: 0.5 + 1j, 2: -0.25j, 3: 2.0})
+        want = Counter(j for m in {m for p in polys for m in p.terms}
+                       for j, _ in mono_pairs(m))
+        got = specialize_all(polys, values)
+        assert values.reads == want
+        assert [_bits(complex(v)) for v in got] == \
+            [_bits(complex(termwise_specialize(p, values.values))) for p in polys]
+        # The memo lives for one call: the next call reads them again.
+        specialize_all(polys, values)
+        assert values.reads == want + want
 
-        class Counted(MonoPlan):
-            __slots__ = ()
-
-            def __init__(self, polys):
-                polys = list(polys)
-                plans.append(len(polys))
-                super().__init__(polys)
-
-            def evaluate(self, values):
-                fills.append(len(values))
-                return super().evaluate(values)
-
-        monkeypatch.setattr(numeric_oracle, "MonoPlan", Counted)
+    def test_one_call_per_draw(self, monkeypatch):
+        plans = recorded_plans(monkeypatch)
         pairs = suites.collect_pairs(order=2)
         assert numeric_identity_sweep(pairs, draws=3).passed
         # No side of a pair whose sides are equal term for term, in the same
-        # order; both sides of every other pair.
+        # order; both sides of every other pair, the same sides each draw.
         same = sum(list(p.lhs.terms.items()) == list(p.rhs.terms.items()) for p in pairs)
         assert 0 < same < len(pairs)
-        assert plans == [2 * (len(pairs) - same)]
-        assert len(fills) == 3
+        assert [len(sides) for sides in plans] == [2 * (len(pairs) - same)] * 3
+        assert all(a is b for sides in plans[1:] for a, b in zip(sides, plans[0]))
 
     def test_equal_sides_in_another_order_are_both_summed(self, monkeypatch):
         plans = recorded_plans(monkeypatch)
@@ -283,8 +308,8 @@ class TestSweep:
                  IdentityPair("demo", (("i", 1),), lhs, lhs * 1)]
         assert numeric_identity_sweep(pairs, draws=2).passed
         # lhs and rhs of the first pair, and no side of the second.
-        assert len(plans) == 1 and len(plans[0]) == 2
-        assert plans[0][0] is lhs and plans[0][1] is rhs
+        assert len(plans) == 2 and all(len(sides) == 2 for sides in plans)
+        assert all(sides[0] is lhs and sides[1] is rhs for sides in plans)
 
     def test_same_term_pairs_alone_pass_with_an_empty_plan(self, monkeypatch):
         plans = recorded_plans(monkeypatch)
@@ -293,7 +318,7 @@ class TestSweep:
                  IdentityPair("same", (("i", 1),), p, p * 1),
                  IdentityPair("same", (("i", 2),), CoeffPoly.zero(), CoeffPoly.zero())]
         rep = numeric_identity_sweep(pairs, draws=3)
-        assert plans == [[]]
+        assert plans == [[]] * 3
         assert [(cell.indices, cell.ok, cell.detail) for cell in rep.cells] == \
             [((("draw", d), ("suite", "same")), True, "") for d in range(3)]
 
@@ -316,3 +341,4 @@ class TestSweep:
         assert numeric_identity_sweep(pairs, draws=1).passed
         # Both sides of every pair would be 48,892 term slots.
         assert sum(len(side.terms) for side in plans[0]) <= 4616
+        assert len({m for side in plans[0] for m in side.terms}) <= 193
