@@ -26,6 +26,7 @@ from .faberkernel import (
     TFamily,
     a_field_direct,
     a_field_grunsky,
+    clear_caches,
     diag_a,
     diag_a_grunsky,
     faber_polys,
@@ -53,7 +54,6 @@ from .inversion import (
     ReverseSeriesTable,
     check_thm51_positive,
     check_thm51_zero_and_negative,
-    clear_caches,
     reverse_table,
     unique_elimination_check,
 )

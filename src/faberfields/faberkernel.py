@@ -68,6 +68,7 @@ from .series import (
     bi_quotient,
     bucket_series,
     divided_difference,
+    ps_reversion,
     scaled_sum,
     seed_series,
     unit_pow,
@@ -88,11 +89,19 @@ class EliminationError(ValueError):
 
 # -- shared seed-derived series ------------------------------------------------
 
-#: The grow-only streams behind the builders, by name: coefficient lists
-#: (or lists of rows) whose entry n, once computed, is fixed.  A request
-#: past a stream's end computes only the new entries, and every table
-#: handed out holds the stream's own coefficient objects.
+#: The grow-only streams, by name: the powers "(f/z)^m", the fronts, the
+#: marker rows and "-D_u/D" here; "L_k Lambda_q", "1/f'" and "lemma41" of
+#: ``kirillov``; and "g", the highest reversion.
 _STREAMS: dict = {}
+
+
+def clear_caches() -> None:
+    """Empty every ``lru_cache`` builder of this module and every stream, so
+    the next request builds from the seed again."""
+    for fn in globals().values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    _STREAMS.clear()
 
 
 @lru_cache(maxsize=None)
@@ -116,6 +125,20 @@ def _s_series(order: int) -> LaurentSeries:
         return fprime * fprime, _f_power(-2, order - 2).shift(2)
 
     return _front("S", order, factors)
+
+
+@lru_cache(maxsize=None)
+def _reversion(order: int) -> LaurentSeries:
+    """g = f^{-1} through z^order.  Only an order above every earlier one
+    runs ``ps_reversion``; a lower one is the truncation of the highest
+    build, the stream "g".  That build passed its composition check
+    g(f(z)) = z through a higher power of z, and [z^k] g(f(z)) reads only
+    g_m with m <= k, so the truncation passes the same check through z^order.
+    """
+    g = _STREAMS.get("g")
+    if g is None or g.order < order:
+        g = _STREAMS["g"] = ps_reversion(_seed(order))
+    return g.truncate(order)
 
 
 def _f_power(e: int, top: int) -> LaurentSeries:

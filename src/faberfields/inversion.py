@@ -22,7 +22,8 @@ power of g costs a product of two dense series.  g itself is the q = 1 entry
 as :func:`~faberfields.series.ps_reversion` returns it, checked by composing
 back to z as g(f(z)) = z, a sum of g_m f^m in which each f^m is a product
 with the seed; ``unique_elimination_pairs`` keeps ``laurent_pow`` as an
-independent route.
+independent route.  g is read from ``faberkernel._reversion``, which keeps
+the highest build; this module keeps no state.
 
 Every power is asked for exact through the highest power of z read, and a
 product with Lambda_p(z), which reaches down to z^(1-p), reads its other
@@ -32,17 +33,14 @@ factor p - 1 powers further; the series layer raises OrderError otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from . import faberkernel, kirillov
-from .faberkernel import _seed, a_field_direct, lambda_direct
+from .faberkernel import _reversion, _seed, a_field_direct, lambda_direct
 from .kirillov import make_L
 from .polyring import CoeffPoly
 from .reports import CheckReport, IdentityPair, report_from_pairs, series_pairs
 from .series import (
     LaurentSeries,
     laurent_pow,
-    ps_reversion,
     reversion_powers,
     z_series,
     zero_series,
@@ -69,38 +67,6 @@ class ReverseSeriesTable:
         if n == 0:
             return CoeffPoly.one()
         return self.power(q).coefficient(q + n)
-
-
-#: The highest reversion built so far, under "g": grow-only, as
-#: ``faberkernel._STREAMS`` is.
-_STREAMS: dict = {}
-
-
-@lru_cache(maxsize=None)
-def _reversion(order: int) -> LaurentSeries:
-    """g = f^{-1} through z^order.  Only an order above every earlier one
-    runs ``ps_reversion``; a lower one is the truncation of the highest
-    build.  That build passed its composition check g(f(z)) = z through a
-    higher power of z, and [z^k] g(f(z)) reads only g_m with m <= k, so the
-    truncation passes the same check through z^order.
-    """
-    g = _STREAMS.get("g")
-    if g is None or g.order < order:
-        g = _STREAMS["g"] = ps_reversion(_seed(order))
-    return g.truncate(order)
-
-
-def clear_caches() -> None:
-    """Empty every ``lru_cache`` builder and every stream of ``faberkernel``,
-    ``kirillov`` and this module, so the next request builds from the seed
-    again."""
-    for fn in vars(faberkernel).values():
-        if hasattr(fn, "cache_clear"):
-            fn.cache_clear()
-    faberkernel._STREAMS.clear()
-    kirillov._STREAMS.clear()
-    _reversion.cache_clear()
-    _STREAMS.clear()
 
 
 def _reverse_powers(qs, top: int) -> dict:

@@ -15,11 +15,9 @@ variables z, w, u are constants for the operator).
 The ladder checks derive each object once per index.  The images
 L_k Lambda_q (Theorem 4.2 and its k = 1 recursion), the coefficients of
 1/f' (a resumable ``unit_pow`` run) and the Lemma 4.1 resolutions
-sum_n B_n L_(k+n) c_m are grow-only streams (``_STREAMS``), as the Lambda
-rows they are derived from are in ``faberkernel``: an entry, once computed,
-is fixed, so a larger check computes only the entries it lacks, and every
-comparison still runs on every call.  ``faberfields.clear_caches()`` empties
-these streams together with the ones they are derived from.
+sum_n B_n L_(k+n) c_m are grow-only streams of ``faberkernel._STREAMS``,
+read by that name; this module keeps no state.  Every comparison still
+runs on every call.
 """
 
 from __future__ import annotations
@@ -27,17 +25,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
+from . import faberkernel
 from .faberkernel import (AFieldTable, LambdaFamily, _elimination_family, _seed, a_field_direct,
                           lambda_direct)
 from .polyring import CoeffPoly, mono_pairs, mono_quotients, poly_from_bucket
 from .reports import CheckReport, IdentityPair, report_from_pairs, series_pairs
 from .series import LaurentSeries, LaurentWPoly, _make, unit_pow
-
-
-#: The grow-only streams of the ladder checks, by name: "L_k Lambda_q"
-#: maps (k, q) to L_k Lambda_q, "1/f'" holds the coefficients of 1/f', and
-#: "lemma41" maps (k, m) to sum_n B_n L_(k+n) c_m.
-_STREAMS: dict = {}
 
 
 class Derivation:
@@ -215,7 +208,7 @@ def _marker_pairs(suite: str, indices: tuple, got: LaurentWPoly, want: LaurentWP
 
 def _ladder_image(lams: LambdaFamily, k: int, q: int) -> LaurentWPoly:
     """L_k Lambda_q, for Lambda_q of ``lams``, from the stream of images."""
-    images = _STREAMS.setdefault("L_k Lambda_q", {})
+    images = faberkernel._STREAMS.setdefault("L_k Lambda_q", {})
     image = images.get((k, q))
     if image is None:
         image = images[(k, q)] = make_L(k).apply(lams.poly(q))
@@ -262,14 +255,15 @@ def inverse_deriv_coeffs(order: int) -> list[CoeffPoly]:
     coefficients of the reciprocal derivative, a run of the power kernel
     that resumes the stream "1/f'".
     """
-    inv = unit_pow(_seed(order + 1).derivative(), -1, _STREAMS.setdefault("1/f'", []))
+    stream = faberkernel._STREAMS.setdefault("1/f'", [])
+    inv = unit_pow(_seed(order + 1).derivative(), -1, stream)
     return [inv.coefficient(n) for n in range(order + 1)]
 
 
 def _lemma41_resolution(bs: list[CoeffPoly], k: int, m: int) -> CoeffPoly:
     """sum_n B_n L_(k+n) c_m over n <= m - k, for bs = [B_0, .., B_(m-k)],
     from the stream of resolutions."""
-    resolutions = _STREAMS.setdefault("lemma41", {})
+    resolutions = faberkernel._STREAMS.setdefault("lemma41", {})
     acc = resolutions.get((k, m))
     if acc is None:
         cm = CoeffPoly.var(m)

@@ -15,8 +15,6 @@ from faberfields.cli import main
 from faberfields.polyring import CoeffPoly, c
 from faberfields.reports import IdentityPair
 
-from .test_faberkernel import cold_caches  # noqa: F401 (fixture)
-
 
 def run(capsys, *argv):
     code = main(list(argv))

@@ -1,7 +1,8 @@
 import hashlib
+import os
+import subprocess
 import sys
 import weakref
-from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,7 @@ from faberfields.series import (
 )
 from faberfields.suites import run_suite, suite_report
 
+from .conftest import empty_caches, patch_everywhere, refuse_everywhere
 from .oracles import (
     dense_grunsky_log,
     horner_grunsky_compose,
@@ -72,48 +74,6 @@ ZERO_VALUES = {n: 0 for n in range(1, 40)}
 #: series, the repeated-product power and evaluation by walking powers.
 PRODUCT_ROUTES = ((series, "laurent_recip"), (series, "laurent_pow"),
                   (series.WPoly, "eval_at"), (series.LaurentWPoly, "eval_at"))
-
-
-def patch_everywhere(monkeypatch, targets, replacement):
-    """Bind ``replacement`` to every name that binds an (owner, name) of
-    ``targets`` in a ``faberfields`` module or class, so a module that
-    imported it by value is covered too."""
-    originals = [vars(owner)[name] for owner, name in targets]
-    for modname, mod in list(sys.modules.items()):
-        if mod is None or modname.split(".")[0] != "faberfields":
-            continue
-        owners = [mod] + [obj for obj in vars(mod).values()
-                          if isinstance(obj, type) and obj.__module__ == modname]
-        for owner in owners:
-            for key, value in list(vars(owner).items()):
-                if any(value is orig for orig in originals):
-                    monkeypatch.setattr(owner, key, replacement)
-
-
-def refuse_everywhere(monkeypatch, targets, message):
-    """Make each (owner, name) in ``targets`` raise under every name that binds it."""
-    def refuse(*args, **kwargs):
-        raise AssertionError(message)
-
-    patch_everywhere(monkeypatch, targets, refuse)
-
-
-def empty_caches(monkeypatch):
-    """Bind an empty copy of every cached builder and empty streams for the
-    test, so the builders it reaches, cached or not, run their own code and
-    kernels under its patches; the warm caches and streams come back
-    untouched afterwards, holding nothing built under them."""
-    for mod in (faberkernel, inversion, kirillov):
-        for name, fn in list(vars(mod).items()):
-            if hasattr(fn, "cache_info") and fn.__module__ == mod.__name__:
-                patch_everywhere(monkeypatch, ((mod, name),),
-                                 lru_cache(maxsize=None)(fn.__wrapped__))
-        monkeypatch.setattr(mod, "_STREAMS", {})
-
-
-@pytest.fixture
-def cold_caches(monkeypatch):
-    empty_caches(monkeypatch)
 
 
 def specialized_entries(obj, values):
@@ -544,7 +504,7 @@ class TestOneKernel:
     def test_builders_avoid_product_routes(self, monkeypatch, cold_caches):
         cached = {name for name, obj in vars(faberkernel).items()
                   if hasattr(obj, "cache_info")}
-        assert cached == set(self.BUILDER_ARGS) - self.UNCACHED
+        assert cached == set(self.BUILDER_ARGS) - self.UNCACHED | {"_reversion"}
         refuse_everywhere(monkeypatch, PRODUCT_ROUTES,
                           "a builder reached a reciprocal, product power or evaluator")
         self.build_all()
@@ -715,14 +675,59 @@ class TestStreams:
                     kirillov.lemma41_check(2, 5))
 
         want = build()
-        assert set(kirillov._STREAMS) == {"L_k Lambda_q", "1/f'", "lemma41"}
+        # One store holds the streams of faberkernel, kirillov and inversion.
+        assert set(faberkernel._STREAMS) == {
+            *(f"(f/z)^{m}" for m in range(6)), "-D_u/D", "z f'/f", "F", "S", "Lambda",
+            "L_k Lambda_q", "1/f'", "lemma41", "g"}
+        assert not hasattr(kirillov, "_STREAMS") and not hasattr(inversion, "_STREAMS")
         faberfields.clear_caches()
+        assert faberkernel._STREAMS == {}
         for mod in (faberkernel, inversion, kirillov):
-            assert mod._STREAMS == {}
             for fn in vars(mod).values():
                 if hasattr(fn, "cache_info"):
                     assert fn.cache_info().currsize == 0, fn
         assert build() == want
+
+    def test_no_state_outside_the_one_store(self):
+        # In a fresh interpreter: the order-5 gate grows no module-level
+        # dict, list or set of the package but faberkernel._STREAMS, and
+        # clear_caches() then leaves no stream and no cached entry.
+        code = """
+import sys
+from faberfields import cli, faberkernel, polyring
+
+def containers():
+    for modname, mod in sorted(sys.modules.items()):
+        if mod is not None and modname.split(".")[0] == "faberfields":
+            for name, value in vars(mod).items():
+                if (not name.startswith("__") and isinstance(value, (dict, list, set))
+                        and value is not faberkernel._STREAMS):
+                    yield f"{modname}.{name}", len(value)
+
+def builders():
+    for modname, mod in sorted(sys.modules.items()):
+        if mod is not None and modname.split(".")[0] == "faberfields":
+            for name, fn in vars(mod).items():
+                if hasattr(fn, "cache_info"):
+                    yield f"{modname}.{name}", fn.cache_info().currsize
+
+before = dict(containers())
+assert cli.main(["check", "--suite", "all", "--order", "5"]) == 0
+grown = {label: (before.get(label), size) for label, size in containers()
+         if size != before.get(label)}
+assert grown == {}, grown
+assert polyring._MONO_MUL_CACHE == {} and polyring._MONO_INTERN == {}
+assert faberkernel._STREAMS and any(size for _, size in builders())
+faberkernel.clear_caches()
+assert faberkernel._STREAMS == {}
+assert [label for label, size in builders() if size] == []
+print("ok")
+"""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(faberfields.__path__[0]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("ok\n")
 
 
 def terms_of(poly, pows: dict) -> list:

@@ -26,7 +26,7 @@ from faberfields.suites import suite_report
 
 from .oracles import partial_sum_apply, series_agree
 from .strategies import coeff_polys
-from .test_faberkernel import cold_caches, empty_caches  # noqa: F401 (fixture)
+from .conftest import empty_caches
 from .test_polyring import whole_fractions
 
 c1, c2, c3 = c(1), c(2), c(3)
@@ -348,7 +348,7 @@ class TestLadderStreams:
     once per index and read by every later check."""
 
     def test_corrupted_lambda_fails_thm42_and_recursion(self):
-        warm = dict(kirillov._STREAMS.get("L_k Lambda_q", {}))
+        warm = dict(faberkernel._STREAMS.get("L_k Lambda_q", {}))
         with pytest.MonkeyPatch.context() as mp:
             empty_caches(mp)
             real = faberkernel._marker_family
@@ -363,7 +363,7 @@ class TestLadderStreams:
             assert not check_thm42(3, 4).passed
             assert not suite_report("recursion", recursion_pairs(4)).passed
         # No image of the corrupted Lambda_3 reached the warm stream.
-        after = kirillov._STREAMS.get("L_k Lambda_q", {})
+        after = faberkernel._STREAMS.get("L_k Lambda_q", {})
         assert after.keys() == warm.keys()
         assert all(after[key] is image for key, image in warm.items())
         assert check_thm42(3, 4).passed
